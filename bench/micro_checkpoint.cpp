@@ -120,11 +120,11 @@ int main(int argc, char** argv) {
       gen::dft_like_spectrum<double>(n_abft, 12), 12);
   double abft_off = 0, abft_on = 0;
   {
-    coll::ScopedAbft off(false);
+    ScopedPolicy off(coll::abft_policy, false);
     abft_off = wall_solve_distributed(h_abft.cview(), 2, abft_cfg);
   }
   {
-    coll::ScopedAbft on(true);
+    ScopedPolicy on(coll::abft_policy, true);
     abft_on = wall_solve_distributed(h_abft.cview(), 2, abft_cfg);
   }
   const double abft_ratio = abft_off > 0 ? abft_on / abft_off : 0;

@@ -139,7 +139,8 @@ int main(int argc, char** argv) {
           int(std::clamp<std::size_t>((std::size_t(8) << 20) / bytes, 3, 24));
       const std::size_t group_start = points.size();
       {
-        chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kNaive);
+        chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                                   chase::coll::Algorithm::kNaive);
         points.push_back({"allreduce", "naive", chase::coll::Algorithm::kNaive,
                           0, p, bytes, time_allreduce(p, bytes, iters)});
       }
@@ -148,8 +149,10 @@ int main(int argc, char** argv) {
       if (topo_scope) policies.push_back(chase::coll::Algorithm::kHier);
       for (const auto policy_kind : policies) {
         for (const std::size_t chunk : chunks) {
-          chase::coll::ScopedAlgorithm policy(policy_kind);
-          chase::coll::ScopedChunkBytes chunk_scope(chunk);
+          chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                                     policy_kind);
+          chase::ScopedPolicy chunk_scope(chase::coll::chunk_bytes_policy,
+                                          chunk);
           std::string label(chase::coll::algorithm_name(policy_kind));
           label += "/" + std::to_string(chunk >> 10) + "KiB";
           points.push_back({"allreduce", label, policy_kind, chunk, p, bytes,

@@ -131,13 +131,14 @@ void sweep_factor(const char* type_name, const std::vector<Index>& ns,
     {
       auto r = random_posdef<T>(n, 1);
       {
-        la::ScopedFactorKernel scoped(la::FactorKernel::kBlocked);
+        ScopedPolicy scoped(la::factor_kernel_policy,
+                            la::FactorKernel::kBlocked);
         la::potrf_upper(r.view());
       }
       auto x = random_mat<T>(n, n, 2);
       const double flops = z * double(n) * double(n) * double(n);
       for (la::FactorKernel kern : kPolicies) {
-        la::ScopedFactorKernel scoped(kern);
+        ScopedPolicy scoped(la::factor_kernel_policy, kern);
         const double s = best_seconds(reps_for(kern, n), [&] {
           auto work = la::clone(x.cview());
           la::trsm_right_upper(r.view().as_const(), work.view());
@@ -150,7 +151,7 @@ void sweep_factor(const char* type_name, const std::vector<Index>& ns,
       auto a = random_posdef<T>(n, 3);
       const double flops = z * double(n) * double(n) * double(n) / 3.0;
       for (la::FactorKernel kern : kPolicies) {
-        la::ScopedFactorKernel scoped(kern);
+        ScopedPolicy scoped(la::factor_kernel_policy, kern);
         const double s = best_seconds(reps_for(kern, n), [&] {
           auto work = la::clone(a.cview());
           const int info = la::potrf_upper(work.view());
@@ -165,7 +166,7 @@ void sweep_factor(const char* type_name, const std::vector<Index>& ns,
       la::Matrix<T> c(n, n);
       const double flops = z * double(n) * double(n) * double(n);
       for (la::FactorKernel kern : kPolicies) {
-        la::ScopedFactorKernel scoped(kern);
+        ScopedPolicy scoped(la::factor_kernel_policy, kern);
         const double s = best_seconds(reps_for(kern, n), [&] {
           la::herk_upper(T(1), x.cview(), T(0), c.view());
         });
@@ -180,7 +181,7 @@ void sweep_factor(const char* type_name, const std::vector<Index>& ns,
     la::Matrix<T> q(n, n);
     const double flops = z * 8.0 / 3.0 * double(n) * double(n) * double(n);
     for (la::FactorKernel kern : kPolicies) {
-      la::ScopedFactorKernel scoped(kern);
+      ScopedPolicy scoped(la::factor_kernel_policy, kern);
       const double s = best_seconds(reps_for(kern, n), [&] {
         auto work = la::clone(a.cview());
         la::hetrd_lower(work.view(), d, e, q.view());
@@ -204,7 +205,7 @@ void end_to_end(const char* type_name, Index m, Index n, Index rr_n,
     auto x = random_mat<T>(m, n, 6);
     double secs[2] = {0, 0};
     for (int p = 0; p < 2; ++p) {
-      la::ScopedFactorKernel scoped(kPolicies[p]);
+      ScopedPolicy scoped(la::factor_kernel_policy, kPolicies[p]);
       secs[p] = best_seconds(reps, [&] {
         auto work = la::clone(x.cview());
         const int info = qr::cholqr(work.view(), nullptr, 2);
@@ -222,7 +223,7 @@ void end_to_end(const char* type_name, Index m, Index n, Index rr_n,
     la::Matrix<T> zv(rr_n, rr_n);
     double secs[2] = {0, 0};
     for (int p = 0; p < 2; ++p) {
-      la::ScopedFactorKernel scoped(kPolicies[p]);
+      ScopedPolicy scoped(la::factor_kernel_policy, kPolicies[p]);
       secs[p] = best_seconds(reps, [&] {
         auto work = la::clone(a.cview());
         la::heevd(work.view(), w, zv.view());

@@ -186,11 +186,11 @@ void bench_solve_equivalence(MixedResult& out, Index n, int reps_unused) {
 
   core::ChaseResult<T> ref, mixed, again;
   {
-    core::ScopedPrecision p(core::Precision::kDouble);
+    ScopedPolicy p(core::precision_policy, core::Precision::kDouble);
     ref = solve_once();
   }
   {
-    core::ScopedPrecision p(core::Precision::kMixed);
+    ScopedPolicy p(core::precision_policy, core::Precision::kMixed);
     perf::Tracker t;
     perf::set_thread_tracker(&t);
     mixed = solve_once();
@@ -200,7 +200,7 @@ void bench_solve_equivalence(MixedResult& out, Index n, int reps_unused) {
     out.fp64_cols = t.counter("precision.filter.cols.fp64");
   }
   {
-    core::ScopedPrecision p(core::Precision::kDouble);
+    ScopedPolicy p(core::precision_policy, core::Precision::kDouble);
     again = solve_once();
   }
 

@@ -140,9 +140,9 @@ bool bitwise_vs_naive(Index count) {
   std::vector<std::vector<T>> ref_reduce(kRanks), ref_bcast(kRanks),
       ref_gather(kRanks);
   for (int pass = 0; pass < 2; ++pass) {
-    chase::coll::ScopedAlgorithm policy(pass == 0
-                                            ? chase::coll::Algorithm::kNaive
-                                            : chase::coll::Algorithm::kHier);
+    chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                               pass == 0 ? chase::coll::Algorithm::kNaive
+                                         : chase::coll::Algorithm::kHier);
     Team team(kRanks);
     team.run([&](Communicator& comm) {
       const int r = comm.rank();
@@ -179,7 +179,8 @@ bool bitwise_vs_naive(Index count) {
 bool auto_matches_model(const chase::perf::TopoInfo& topo) {
   using chase::coll::Routine;
   using chase::perf::CollAlgo;
-  chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kAuto);
+  chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                             chase::coll::Algorithm::kAuto);
   const chase::perf::MachineModel m;
   const auto backend = chase::perf::Backend::kHostMpi;
   const std::size_t chunk = chase::coll::chunk_bytes();
@@ -241,11 +242,13 @@ int main() {
   {
     ScopedTopology topo(emulated);
     {
-      chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kRing);
+      chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                                 chase::coll::Algorithm::kRing);
       ring_sec = time_allreduce(hier_bytes, 6);
     }
     {
-      chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kHier);
+      chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                                 chase::coll::Algorithm::kHier);
       hier_sec = time_allreduce(hier_bytes, 6);
     }
   }
@@ -264,7 +267,8 @@ int main() {
   double percall_sec, replay_sec;
   {
     ScopedTopology topo(grouped);
-    chase::coll::ScopedAlgorithm policy(chase::coll::Algorithm::kHier);
+    chase::ScopedPolicy policy(chase::coll::algorithm_policy,
+                               chase::coll::Algorithm::kHier);
     std::tie(percall_sec, replay_sec) =
         time_plan_replay(std::size_t(2) << 10, 400);
   }

@@ -187,9 +187,8 @@ void sweep_gemm(const char* type_name, std::vector<GemmRow>& out) {
     la::Matrix<T> c(n, n);
     const double flops = z * double(n) * double(n) * double(n);
     for (la::GemmKernel kern :
-         {la::GemmKernel::kNaive, la::GemmKernel::kBlocked,
-          la::GemmKernel::kMicro}) {
-      la::ScopedGemmKernel scoped(kern);
+         {la::GemmKernel::kNaive, la::GemmKernel::kMicro}) {
+      ScopedPolicy scoped(la::gemm_kernel_policy, kern);
       // The seed path runs minutes-per-call at n=1024; one repetition is
       // plenty at that duration, while the fast kernels take best-of-5.
       const int reps = kern == la::GemmKernel::kNaive ? (n >= 1024 ? 1 : 2) : 5;
@@ -220,7 +219,7 @@ la::Matrix<T> random_herm(la::Index n, std::uint64_t seed) {
 template <typename T>
 void sweep_hemm(const char* type_name, std::vector<HemmRow>& out) {
   const double z = kIsComplex<T> ? 8.0 : 2.0;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
+  ScopedPolicy scoped(la::gemm_kernel_policy, la::GemmKernel::kMicro);
   for (la::Index n : {la::Index(512), la::Index(1024)}) {
     const la::Index ncols = n;
     auto h = random_herm<T>(n, 10);

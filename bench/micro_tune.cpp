@@ -3,7 +3,7 @@
 // Runs an in-process quick tuning pass (tune::run_tuning), persists the
 // profile to results/machine_profile.json, then times the same sequential
 // solve under (a) the installed tuned dispatch tables and (b) every fixed
-// single-policy configuration (GEMM {naive, blocked, micro} x factor
+// single-policy configuration (GEMM {naive, micro} x factor
 // {naive, blocked} pinned for the whole solve). The acceptance signals,
 // emitted to results/bench_tune.json and gated by scripts/compare_bench.py:
 //
@@ -151,9 +151,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<FixedConfig> fixed;
-  for (const auto g : {chase::la::GemmKernel::kNaive,
-                       chase::la::GemmKernel::kBlocked,
-                       chase::la::GemmKernel::kMicro}) {
+  for (const auto g :
+       {chase::la::GemmKernel::kNaive, chase::la::GemmKernel::kMicro}) {
     for (const auto f :
          {chase::la::FactorKernel::kNaive, chase::la::FactorKernel::kBlocked}) {
       fixed.push_back({g, f, 0});
@@ -165,8 +164,8 @@ int main(int argc, char** argv) {
 
   tune::uninstall_profile();
   for (FixedConfig& c : fixed) {
-    chase::la::ScopedGemmKernel gemm_pin(c.gemm);
-    chase::la::ScopedFactorKernel factor_pin(c.factor);
+    chase::ScopedPolicy gemm_pin(chase::la::gemm_kernel_policy, c.gemm);
+    chase::ScopedPolicy factor_pin(chase::la::factor_kernel_policy, c.factor);
     c.seconds = time_solve();
     std::printf("  fixed gemm=%-8s factor=%-8s %10.4f s\n",
                 std::string(chase::la::gemm_kernel_name(c.gemm)).c_str(),

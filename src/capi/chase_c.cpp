@@ -253,7 +253,7 @@ int chase_checkpoint_enable(const char* dir, int interval) {
     std::lock_guard<std::mutex> lock(cs.mutex);
     cs.sink = std::move(sink);
     cs.interval =
-        interval > 0 ? interval : chase::ckpt::checkpoint_interval();
+        interval > 0 ? interval : chase::ckpt::interval_policy.get();
     return CHASE_SUCCESS;
   } catch (const chase::Error&) {
     return CHASE_INVALID_ARGUMENT;
@@ -271,12 +271,13 @@ int chase_set_precision(const char* name) {
   if (name == nullptr) return CHASE_INVALID_ARGUMENT;
   auto parsed = chase::core::parse_precision(name);
   if (!parsed) return CHASE_INVALID_ARGUMENT;
-  chase::core::set_precision(*parsed);
+  chase::core::precision_policy.pin(*parsed);
   return CHASE_SUCCESS;
 }
 
 const char* chase_get_precision(void) {
-  return chase::core::precision_name(chase::core::precision()).data();
+  using chase::core::precision_policy;
+  return chase::core::precision_name(precision_policy.get()).data();
 }
 
 int chase_profile_load(const char* path) {

@@ -34,7 +34,7 @@ class CheckpointEngine {
   /// `interval < 0` defers to the CHASE_CKPT_INTERVAL policy.
   explicit CheckpointEngine(SnapshotSink* sink, int interval = -1)
       : sink_(sink),
-        interval_(interval >= 0 ? interval : checkpoint_interval()) {}
+        interval_(interval >= 0 ? interval : interval_policy.get()) {}
 
   int interval() const { return interval_; }
   bool enabled() const { return sink_ != nullptr && interval_ > 0; }

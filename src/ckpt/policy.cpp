@@ -1,39 +1,13 @@
 #include "ckpt/policy.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "common/env.hpp"
 
 namespace chase::ckpt {
 
-namespace {
-
-int env_interval() {
-  static const int v = [] {
-    if (auto parsed = env::positive_env("CHASE_CKPT_INTERVAL")) {
-      return int(*parsed);
-    }
-    return 0;
-  }();
-  return v;
-}
-
-std::atomic<int>& override_interval() {
-  static std::atomic<int> v{-1};
-  return v;
-}
-
-}  // namespace
-
-int checkpoint_interval() {
-  const int o = override_interval().load(std::memory_order_relaxed);
-  return o >= 0 ? o : env_interval();
-}
-
-void set_checkpoint_interval(int interval) {
-  override_interval().store(interval < 0 ? -1 : interval,
-                            std::memory_order_relaxed);
-}
+constinit Policy<int> interval_policy{
+    "CHASE_CKPT_INTERVAL", 0, [](const char* var) -> std::optional<int> {
+      if (const auto v = env::positive_env(var)) return int(*v);
+      return std::nullopt;
+    }};
 
 }  // namespace chase::ckpt

@@ -1,30 +1,16 @@
 // Checkpoint cadence policy.
 //
 // CHASE_CKPT_INTERVAL=k captures a snapshot every k-th iteration boundary
-// (0 or unset: checkpointing disabled). Programmatic overrides
-// (set_checkpoint_interval / ScopedCheckpointInterval) shadow the
-// environment — tests and the elastic restart driver use them so cadence is
-// never process-global state they cannot control.
+// (0 or unset: checkpointing disabled). Pinning interval_policy (ScopedPolicy
+// in tests) shadows the environment.
 #pragma once
+
+#include "common/policy.hpp"
 
 namespace chase::ckpt {
 
-/// Effective capture cadence: the programmatic override if one is set,
-/// otherwise CHASE_CKPT_INTERVAL, otherwise 0 (disabled).
-int checkpoint_interval();
-
-/// Override the cadence (-1 clears the override, restoring the env value).
-void set_checkpoint_interval(int interval);
-
-class ScopedCheckpointInterval {
- public:
-  explicit ScopedCheckpointInterval(int interval) {
-    set_checkpoint_interval(interval);
-  }
-  ~ScopedCheckpointInterval() { set_checkpoint_interval(-1); }
-  ScopedCheckpointInterval(const ScopedCheckpointInterval&) = delete;
-  ScopedCheckpointInterval& operator=(const ScopedCheckpointInterval&) =
-      delete;
-};
+/// Effective capture cadence: the pinned override if one is set, otherwise
+/// CHASE_CKPT_INTERVAL, otherwise 0 (disabled).
+extern Policy<int> interval_policy;
 
 }  // namespace chase::ckpt

@@ -1,39 +1,9 @@
 #include "coll/abft.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include "common/env.hpp"
 
 namespace chase::coll {
 
-namespace {
-
-// -1: defer to the CHASE_ABFT environment default; 0/1: explicit override.
-std::atomic<int>& abft_override_slot() {
-  static std::atomic<int> slot{-1};
-  return slot;
-}
-
-bool abft_env_default() {
-  static const bool on = [] {
-    const char* env = std::getenv("CHASE_ABFT");
-    if (env == nullptr) return false;
-    const std::string_view v(env);
-    return !(v.empty() || v == "0" || v == "off" || v == "false");
-  }();
-  return on;
-}
-
-}  // namespace
-
-bool abft_enabled() {
-  const int o = abft_override_slot().load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return abft_env_default();
-}
-
-void set_abft(int on) {
-  abft_override_slot().store(on < 0 ? -1 : (on != 0 ? 1 : 0),
-                             std::memory_order_relaxed);
-}
+constinit Policy<bool> abft_policy{"CHASE_ABFT", false, env::boolean_env};
 
 }  // namespace chase::coll

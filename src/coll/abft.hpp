@@ -43,6 +43,7 @@
 #include "ckpt/checksum.hpp"
 #include "comm/reduction.hpp"
 #include "common/check.hpp"
+#include "common/policy.hpp"
 #include "common/scalar.hpp"
 #include "la/matrix.hpp"
 #include "perf/tracker.hpp"
@@ -51,19 +52,8 @@ namespace chase::coll {
 
 using la::Index;
 
-/// CHASE_ABFT env knob (default off), shadowed by set_abft/ScopedAbft.
-bool abft_enabled();
-
-/// Programmatic override: 1 on, 0 off, -1 back to the environment value.
-void set_abft(int on);
-
-class ScopedAbft {
- public:
-  explicit ScopedAbft(bool on) { set_abft(on ? 1 : 0); }
-  ~ScopedAbft() { set_abft(-1); }
-  ScopedAbft(const ScopedAbft&) = delete;
-  ScopedAbft& operator=(const ScopedAbft&) = delete;
-};
+/// CHASE_ABFT: arms both layers (default off).
+extern Policy<bool> abft_policy;
 
 /// Replay budget per protected collective before escalating.
 inline constexpr int kAbftMaxReplays = 2;
@@ -131,7 +121,7 @@ Index column_mismatch(la::ConstMatrixView<T> reduced,
 template <typename Comm, typename T>
 void checked_all_reduce(const Comm& comm, T* data, Index count,
                         comm::Reduction op = comm::Reduction::kSum) {
-  if (!abft_enabled() || comm.size() <= 1 || count <= 0) {
+  if (!abft_policy.get() || comm.size() <= 1 || count <= 0) {
     comm.all_reduce(data, count, op);
     return;
   }

@@ -1,7 +1,6 @@
 #include "coll/engine.hpp"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <initializer_list>
 #include <limits>
 #include <string>
@@ -11,53 +10,22 @@
 #include "perf/machine.hpp"
 #include "perf/tuned.hpp"
 
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_COLL_ALGO (CMakePresets.json).
-#ifndef CHASE_COLL_DEFAULT_ALGO
-#define CHASE_COLL_DEFAULT_ALGO "naive"
-#endif
-
 namespace chase::coll {
 
+constinit Policy<Algorithm> algorithm_policy{
+    "CHASE_COLL_ALGO", Algorithm::kNaive, [](const char* var) {
+      return env::choice_env(var, parse_algorithm,
+                             "naive | ring | tree | hier | auto");
+    }};
+
+constinit Policy<std::size_t> chunk_bytes_policy{
+    "CHASE_COLL_CHUNK_BYTES", std::size_t(64) << 10,
+    [](const char* var) -> std::optional<std::size_t> {
+      if (const auto v = env::positive_env(var)) return std::size_t(*v);
+      return std::nullopt;
+    }};
+
 namespace {
-
-constexpr std::size_t kDefaultChunkBytes = std::size_t(64) << 10;
-constexpr int kNoOverride = -1;
-
-Algorithm build_default_algorithm() {
-  return parse_algorithm(CHASE_COLL_DEFAULT_ALGO).value_or(Algorithm::kNaive);
-}
-
-// Explicit override slot: kNoOverride until the CHASE_COLL_ALGO env var
-// (read once, at first use) or set_algorithm() pins a policy.
-std::atomic<int>& algo_slot() {
-  static std::atomic<int> slot = [] {
-    int raw = kNoOverride;
-    if (const auto env = env::text_env("CHASE_COLL_ALGO")) {
-      const auto parsed = parse_algorithm(*env);
-      if (!parsed) {
-        env::reject("CHASE_COLL_ALGO", *env, "unknown policy",
-                    "naive | ring | tree | hier | auto");
-      }
-      raw = int(*parsed);
-    }
-    return std::atomic<int>(raw);
-  }();
-  return slot;
-}
-
-// Explicit chunk-size override (-1 = none): CHASE_COLL_CHUNK_BYTES or
-// set_chunk_bytes().
-std::atomic<long long>& chunk_slot() {
-  static std::atomic<long long> slot = [] {
-    long long raw = kNoOverride;
-    if (auto v = env::positive_env("CHASE_COLL_CHUNK_BYTES")) {
-      raw = *v;
-    }
-    return std::atomic<long long>(raw);
-  }();
-  return slot;
-}
 
 perf::CollAlgo routine_algo(Routine r) {
   switch (r) {
@@ -170,60 +138,26 @@ bool is_hierarchical(Routine r) {
          r == Routine::kHierBroadcast;
 }
 
-Algorithm algorithm() {
-  const int raw = algo_slot().load(std::memory_order_relaxed);
-  return raw == kNoOverride ? build_default_algorithm() : Algorithm(raw);
-}
-
-void set_algorithm(Algorithm a) {
-  algo_slot().store(int(a), std::memory_order_relaxed);
-}
-
-bool algorithm_overridden() {
-  return algo_slot().load(std::memory_order_relaxed) != kNoOverride;
-}
-
-int raw_algorithm_override() {
-  return algo_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_algorithm_override(int raw) {
-  algo_slot().store(raw, std::memory_order_relaxed);
-}
-
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes) {
-  const int raw = algo_slot().load(std::memory_order_relaxed);
-  if (raw != kNoOverride) return Algorithm(raw);
+  if (const auto pinned = algorithm_policy.pinned()) return *pinned;
   if (const perf::TunedTables* t = perf::tuned_tables()) {
     const int tuned = t->coll_algo[int(kind)][int(perf::msg_class(bytes))];
     if (tuned >= 0) return Algorithm(tuned);
   }
-  return build_default_algorithm();
+  return algorithm_policy.fallback();
 }
 
 std::size_t chunk_bytes() {
-  const long long raw = chunk_slot().load(std::memory_order_relaxed);
-  if (raw > 0) return std::size_t(raw);
+  if (const auto pinned = chunk_bytes_policy.pinned()) {
+    return std::max<std::size_t>(*pinned, 1);
+  }
   if (const perf::TunedTables* t = perf::tuned_tables()) {
     if (t->chunk_bytes > 0) return std::size_t(t->chunk_bytes);
   }
-  return kDefaultChunkBytes;
+  return chunk_bytes_policy.fallback();
 }
 
-void set_chunk_bytes(std::size_t bytes) {
-  chunk_slot().store(bytes == 0 ? 1 : (long long)bytes,
-                     std::memory_order_relaxed);
-}
-
-long long raw_chunk_override() {
-  return chunk_slot().load(std::memory_order_relaxed);
-}
-
-void set_raw_chunk_override(long long raw) {
-  chunk_slot().store(raw, std::memory_order_relaxed);
-}
-
-bool overlap_enabled() { return algorithm() == Algorithm::kAuto; }
+bool overlap_enabled() { return algorithm_policy.get() == Algorithm::kAuto; }
 
 Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
                perf::Backend backend) {

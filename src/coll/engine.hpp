@@ -6,9 +6,8 @@
 // src/coll) reproduce the algorithmic side of NCCL. The policy is
 // process-global:
 //
-//   CHASE_COLL_ALGO = naive | ring | tree | hier | auto   (default: naive,
-//       or the CMake cache variable CHASE_DEFAULT_COLL_ALGO baked into the
-//       build; an unknown value throws env::ConfigError at first use)
+//   CHASE_COLL_ALGO = naive | ring | tree | hier | auto   (default: naive;
+//       an unknown value throws env::ConfigError at first use)
 //   CHASE_COLL_CHUNK_BYTES = pipelining granularity (default 64 KiB)
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
@@ -25,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/policy.hpp"
 #include "perf/backend.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/tracker.hpp"
@@ -54,37 +54,23 @@ std::optional<Algorithm> parse_algorithm(std::string_view name);
 /// sub-communicators).
 bool is_hierarchical(Routine r);
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (CHASE_COLL_ALGO at first use — a set-but-unknown value throws
-/// env::ConfigError — or set_algorithm), else the build-time default.
+/// CHASE_COLL_ALGO: the process-wide override (default naive). Overrides
+/// beat any loaded machine profile (the autotuner contract, DESIGN.md §15).
 /// Size-oblivious; the dispatcher uses algorithm_for().
-Algorithm algorithm();
-
-/// Pin an explicit override. Overrides beat any loaded machine profile
-/// (the autotuner contract, DESIGN.md §15).
-void set_algorithm(Algorithm a);
-
-/// True when an explicit override (env or set_algorithm) is pinned.
-bool algorithm_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override).
-int raw_algorithm_override();
-void set_raw_algorithm_override(int raw);
+extern Policy<Algorithm> algorithm_policy;
 
 /// Size-aware policy for one collective call: override > per-(kind,
 /// message-size-class) machine-profile entry (perf::tuned_tables()) >
 /// built-in default. `bytes` follows the Tracker convention.
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes);
 
-/// Pipelining granularity in bytes (>= 1): explicit override
-/// (CHASE_COLL_CHUNK_BYTES or set_chunk_bytes) > machine-profile
+/// CHASE_COLL_CHUNK_BYTES: the process-wide pipelining-granularity override
+/// (default 64 KiB).
+extern Policy<std::size_t> chunk_bytes_policy;
+
+/// Pipelining granularity in bytes (>= 1): override > machine-profile
 /// chunk_bytes > built-in 64 KiB default.
 std::size_t chunk_bytes();
-void set_chunk_bytes(std::size_t bytes);
-
-/// Raw chunk override for exact save/restore (-1 = no override).
-long long raw_chunk_override();
-void set_raw_chunk_override(long long raw);
 
 /// True when the nonblocking overlap pipeline (dist_matrix::apply_impl
 /// splitting the HEMM into column blocks and overlapping block k+1's compute
@@ -129,33 +115,5 @@ std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
 /// multi-phase collective really moves.
 void account_phases(perf::Tracker* t, perf::Backend backend,
                     const std::vector<CollPhase>& phases, bool bracketed);
-
-/// RAII policy override for tests and benches. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedAlgorithm {
- public:
-  explicit ScopedAlgorithm(Algorithm a) : prev_(raw_algorithm_override()) {
-    set_algorithm(a);
-  }
-  ~ScopedAlgorithm() { set_raw_algorithm_override(prev_); }
-  ScopedAlgorithm(const ScopedAlgorithm&) = delete;
-  ScopedAlgorithm& operator=(const ScopedAlgorithm&) = delete;
-
- private:
-  int prev_;
-};
-
-class ScopedChunkBytes {
- public:
-  explicit ScopedChunkBytes(std::size_t bytes) : prev_(raw_chunk_override()) {
-    set_chunk_bytes(bytes);
-  }
-  ~ScopedChunkBytes() { set_raw_chunk_override(prev_); }
-  ScopedChunkBytes(const ScopedChunkBytes&) = delete;
-  ScopedChunkBytes& operator=(const ScopedChunkBytes&) = delete;
-
- private:
-  long long prev_;
-};
 
 }  // namespace chase::coll

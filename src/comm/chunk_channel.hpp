@@ -17,7 +17,7 @@
 // Blocking receives carry the same poisoned-error/watchdog semantics as the
 // PR 1 barriers: waiters register the mailbox cv with the team's ErrorState,
 // poll the poison flag, and diagnose a missing sender as "p2p.watchdog"
-// after comm::barrier_timeout().
+// after comm::watchdog_policy.get().
 #pragma once
 
 #include <condition_variable>

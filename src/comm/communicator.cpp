@@ -1,7 +1,6 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -14,19 +13,6 @@
 namespace chase::comm {
 
 namespace {
-
-std::atomic<long>& timeout_ms() {
-  static std::atomic<long> ms = [] {
-    long v = 120000;  // generous: legitimate waits cover imbalanced compute
-    // CHASE_WATCHDOG_MS is the documented knob; CHASE_BARRIER_TIMEOUT_MS is
-    // the original name, kept as a fallback.
-    auto parsed = env::positive_env("CHASE_WATCHDOG_MS");
-    if (!parsed) parsed = env::positive_env("CHASE_BARRIER_TIMEOUT_MS");
-    if (parsed) v = long(*parsed);
-    return v;
-  }();
-  return ms;
-}
 
 /// Emulated cross-node link: stall the calling thread for `seconds`. Sleeps
 /// the bulk and spins the tail — sleep_for alone overshoots by the OS
@@ -62,13 +48,14 @@ double inter_delay_seconds(const detail::CommState& st, int a, int b,
 
 }  // namespace
 
-std::chrono::milliseconds barrier_timeout() {
-  return std::chrono::milliseconds(timeout_ms().load(std::memory_order_relaxed));
-}
-
-void set_barrier_timeout(std::chrono::milliseconds t) {
-  timeout_ms().store(t.count(), std::memory_order_relaxed);
-}
+constinit Policy<std::chrono::milliseconds> watchdog_policy{
+    "CHASE_WATCHDOG_MS", std::chrono::milliseconds(120000),
+    [](const char* var) -> std::optional<std::chrono::milliseconds> {
+      auto ms = env::positive_env(var);
+      if (!ms) ms = env::positive_env("CHASE_BARRIER_TIMEOUT_MS");
+      if (!ms) return std::nullopt;
+      return std::chrono::milliseconds(*ms);
+    }};
 
 namespace detail {
 
@@ -111,7 +98,8 @@ void CommState::barrier_wait(int rank) {
     bar_cv.notify_all();
     return;
   }
-  const auto deadline = std::chrono::steady_clock::now() + barrier_timeout();
+  const auto deadline =
+      std::chrono::steady_clock::now() + watchdog_policy.get();
   // Poll-bounded wait: ErrorState::record notifies this cv, but a
   // notification sent between our poison check and the wait would be lost,
   // so the poll interval bounds the detection latency instead of relying on
@@ -127,7 +115,7 @@ void CommState::barrier_wait(int rank) {
       --bar_arrived;
       std::ostringstream os;
       os << "watchdog on rank " << rank << ": no barrier progress within "
-         << barrier_timeout().count() << " ms (" << bar_arrived + 1 << "/"
+         << watchdog_policy.get().count() << " ms (" << bar_arrived + 1 << "/"
          << size
          << " ranks arrived; a sibling likely died outside any collective)";
       errors->record(RankError{rank, "barrier.watchdog", os.str()});
@@ -149,7 +137,8 @@ void CommState::quiesce_wait(int rank) {
     ++bar_generation;
     bar_cv.notify_all();
   } else {
-    const auto deadline = std::chrono::steady_clock::now() + barrier_timeout();
+    const auto deadline =
+        std::chrono::steady_clock::now() + watchdog_policy.get();
     while (bar_generation == gen) {
       bar_cv.wait_for(lock, std::chrono::milliseconds(50));
       if (bar_generation != gen) break;
@@ -157,7 +146,7 @@ void CommState::quiesce_wait(int rank) {
         --bar_arrived;
         std::ostringstream os;
         os << "watchdog on rank " << rank << ": collective quiesce made no "
-           << "progress within " << barrier_timeout().count() << " ms ("
+           << "progress within " << watchdog_policy.get().count() << " ms ("
            << bar_arrived + 1 << "/" << size << " ranks arrived)";
         errors->record(RankError{rank, "barrier.watchdog", os.str()});
         errors->raise();
@@ -220,7 +209,8 @@ void Communicator::send_chunk(int dst, std::uint64_t tag, const void* data,
     // Simulated network stall: park the sender for up to two watchdog
     // periods so a waiting receiver's p2p.watchdog fires first; once the
     // team poisons, die like any other waiter.
-    const auto give_up = std::chrono::steady_clock::now() + 2 * barrier_timeout();
+    const auto give_up =
+        std::chrono::steady_clock::now() + 2 * watchdog_policy.get();
     while (std::chrono::steady_clock::now() < give_up) {
       if (st.errors->poisoned()) st.errors->raise();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -296,7 +286,8 @@ std::uint64_t Communicator::wait_new_arrival(std::uint64_t seen, int src,
                                              std::uint64_t tag) const {
   auto& st = *state_;
   auto& box = *st.mailboxes[std::size_t(rank_)];
-  const auto deadline = std::chrono::steady_clock::now() + barrier_timeout();
+  const auto deadline =
+      std::chrono::steady_clock::now() + watchdog_policy.get();
   std::unique_lock<std::mutex> lock(box.mutex);
   while (box.arrivals == seen) {
     if (st.errors->poisoned()) st.errors->raise();
@@ -308,7 +299,7 @@ std::uint64_t Communicator::wait_new_arrival(std::uint64_t seen, int src,
     if (std::chrono::steady_clock::now() >= deadline) {
       std::ostringstream os;
       os << "watchdog on rank " << rank_ << ": no chunk arrived within "
-         << barrier_timeout().count() << " ms";
+         << watchdog_policy.get().count() << " ms";
       if (src >= 0) {
         os << " while waiting for rank " << src << " (tag " << tag << ")";
       }

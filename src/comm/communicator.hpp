@@ -229,7 +229,7 @@ class Communicator {
                       std::size_t bytes) const;
 
   /// Blocking receive with the poisoned-error/watchdog protocol: diagnoses a
-  /// sender that never delivers as "p2p.watchdog" after barrier_timeout().
+  /// sender that never delivers as "p2p.watchdog" after watchdog_policy.get().
   void recv_chunk(int src, std::uint64_t tag, void* data,
                   std::size_t bytes) const;
 

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/policy.hpp"
 
 namespace chase::comm {
 
@@ -110,25 +111,10 @@ class ErrorState {
   std::vector<std::condition_variable*> waiters_;
 };
 
-/// Watchdog timeout for barrier waits. The default is deliberately generous
-/// (legitimate waits cover whatever imbalanced compute siblings are doing);
-/// fault-tolerance tests lower it via ScopedBarrierTimeout. Initialized from
-/// CHASE_BARRIER_TIMEOUT_MS when set.
-std::chrono::milliseconds barrier_timeout();
-void set_barrier_timeout(std::chrono::milliseconds t);
-
-class ScopedBarrierTimeout {
- public:
-  explicit ScopedBarrierTimeout(std::chrono::milliseconds t)
-      : previous_(barrier_timeout()) {
-    set_barrier_timeout(t);
-  }
-  ~ScopedBarrierTimeout() { set_barrier_timeout(previous_); }
-  ScopedBarrierTimeout(const ScopedBarrierTimeout&) = delete;
-  ScopedBarrierTimeout& operator=(const ScopedBarrierTimeout&) = delete;
-
- private:
-  std::chrono::milliseconds previous_;
-};
+/// Watchdog timeout for barrier waits: CHASE_WATCHDOG_MS (or its original
+/// name CHASE_BARRIER_TIMEOUT_MS). The default, 120 s, is deliberately
+/// generous (legitimate waits cover whatever imbalanced compute siblings are
+/// doing); fault-tolerance tests lower it with ScopedPolicy.
+extern Policy<std::chrono::milliseconds> watchdog_policy;
 
 }  // namespace chase::comm

@@ -52,6 +52,16 @@ std::optional<std::string> text_env(const char* name) {
   return std::string(trimmed);
 }
 
+std::optional<bool> boolean_env(const char* name) {
+  const std::optional<std::string> text = text_env(name);
+  if (!text) return std::nullopt;
+  const std::string_view v = *text;
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  reject(name, v, "not a boolean",
+         "0 | 1 | true | false | yes | no | on | off");
+}
+
 std::vector<std::string> split_list(std::string_view text, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;

@@ -10,6 +10,9 @@
 // fails loudly at the first use of the knob instead of quietly running with
 // defaults.
 //
+// Enum and boolean knobs (CHASE_GEMM_KERNEL, CHASE_ABFT, ...) go through
+// choice_env/boolean_env under the same contract: unknown text throws.
+//
 // Structured knobs (CHASE_TOPO's "2x4@inter_mbps=800" spec,
 // CHASE_FAULT_INJECT's "site@rank@iter=k:times,..." list) build on the same
 // contract through split_list/ranged_int: every token of a set variable must
@@ -53,6 +56,24 @@ std::optional<long long> positive_env(const char* name);
 /// getenv(name) as text. Unset and set-but-empty both return nullopt;
 /// surrounding whitespace is trimmed.
 std::optional<std::string> text_env(const char* name);
+
+/// getenv(name) as a boolean: 1|true|yes|on and 0|false|no|off. Unset and
+/// set-but-empty return nullopt; any other text throws ConfigError naming
+/// the variable.
+std::optional<bool> boolean_env(const char* name);
+
+/// getenv(name) as one of a fixed set of names: `parse` maps the trimmed
+/// text to a value. Unset and set-but-empty return nullopt; text `parse`
+/// rejects throws ConfigError naming the variable and listing `expected`.
+template <typename V>
+std::optional<V> choice_env(const char* name,
+                            std::optional<V> (*parse)(std::string_view),
+                            const char* expected) {
+  const std::optional<std::string> text = text_env(name);
+  if (!text) return std::nullopt;
+  if (const std::optional<V> v = parse(*text)) return v;
+  reject(name, *text, "unknown value", expected);
+}
 
 /// Split `text` on `sep`, trimming surrounding whitespace from each token.
 /// Empty tokens are preserved (",," yields three empties) so spec parsers

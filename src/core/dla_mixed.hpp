@@ -318,7 +318,7 @@ template <typename HOp, typename Base, typename T = typename HOp::Scalar>
 DlaBackend<T>& select_backend(
     HOp& h, Base& plain, std::optional<MixedBackendFor<HOp, Base>>& mixed) {
   if constexpr (MixedShadowCapable<HOp>) {
-    if (precision() == Precision::kMixed) {
+    if (precision_policy.get() == Precision::kMixed) {
       mixed.emplace(h);
       return *mixed;
     }

@@ -1,30 +1,17 @@
 #include "core/precision.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <mutex>
 
-// Build-time default policy, plumbed through the CMake cache variable
-// CHASE_DEFAULT_PRECISION (CMakePresets.json).
-#ifndef CHASE_DEFAULT_PRECISION_NAME
-#define CHASE_DEFAULT_PRECISION_NAME "double"
-#endif
+#include "common/env.hpp"
 
 namespace chase::core {
 
-namespace {
+constinit Policy<Precision> precision_policy{
+    "CHASE_PRECISION", Precision::kDouble, [](const char* var) {
+      return env::choice_env(var, parse_precision, "double | mixed");
+    }};
 
-std::atomic<int>& precision_slot() {
-  static std::atomic<int> slot = [] {
-    Precision p = parse_precision(CHASE_DEFAULT_PRECISION_NAME)
-                      .value_or(Precision::kDouble);
-    if (const char* env = std::getenv("CHASE_PRECISION")) {
-      if (auto parsed = parse_precision(env)) p = *parsed;
-    }
-    return std::atomic<int>(int(p));
-  }();
-  return slot;
-}
+namespace {
 
 // The promotion config is a small aggregate, not an atomic word; guarded by
 // a mutex (read once per solve at setup, never on the hot path).
@@ -54,14 +41,6 @@ std::optional<Precision> parse_precision(std::string_view name) {
   if (name == "double") return Precision::kDouble;
   if (name == "mixed") return Precision::kMixed;
   return std::nullopt;
-}
-
-Precision precision() {
-  return Precision(precision_slot().load(std::memory_order_relaxed));
-}
-
-void set_precision(Precision p) {
-  precision_slot().store(int(p), std::memory_order_relaxed);
 }
 
 engine::PromotionConfig promotion_config() {

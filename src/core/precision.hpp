@@ -1,11 +1,11 @@
 // Runtime precision policy for the solver pipeline.
 //
-// Mirrors the kernel policies (src/la/gemm_policy.hpp, src/coll/engine.hpp):
+// Like the kernel policies (src/la/gemm_policy.hpp, src/coll/engine.hpp),
 // the process picks one solve precision for every core::solve / solve_lms
 // call,
 //
-//   CHASE_PRECISION = double | mixed   (default: the CMake cache variable
-//       CHASE_DEFAULT_PRECISION baked into the build)
+//   CHASE_PRECISION = double | mixed   (default: double; unknown text throws
+//       env::ConfigError at first use)
 //
 //   double — every kernel runs in the working scalar type; bitwise identical
 //            to the pre-mixed-precision library.
@@ -18,7 +18,7 @@
 //            they lock.
 //
 // The policy is process-global and cheap to read (one relaxed atomic load);
-// ScopedPrecision lets benches and tests flip it per section. Single-
+// benches and tests flip it per section with ScopedPolicy. Single-
 // precision instantiations (T = float / complex<float>) ignore the policy —
 // there is nothing lower to demote into.
 #pragma once
@@ -26,6 +26,7 @@
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "core/engine/promotion.hpp"
 
 namespace chase::core {
@@ -35,24 +36,8 @@ enum class Precision : int { kDouble = 0, kMixed };
 std::string_view precision_name(Precision p);
 std::optional<Precision> parse_precision(std::string_view name);
 
-/// Process-global policy; initialized from CHASE_PRECISION (falling back to
-/// the build-time default) on first use.
-Precision precision();
-void set_precision(Precision p);
-
-/// RAII policy override for benches and tests.
-class ScopedPrecision {
- public:
-  explicit ScopedPrecision(Precision p) : prev_(precision()) {
-    set_precision(p);
-  }
-  ~ScopedPrecision() { set_precision(prev_); }
-  ScopedPrecision(const ScopedPrecision&) = delete;
-  ScopedPrecision& operator=(const ScopedPrecision&) = delete;
-
- private:
-  Precision prev_;
-};
+/// CHASE_PRECISION: the process-global solve precision (default double).
+extern Policy<Precision> precision_policy;
 
 /// Process-global promotion-policy tuning the mixed backend reads at setup;
 /// tests pin aggressive configs through ScopedPromotionConfig to drive the

@@ -146,7 +146,7 @@ class DistHermitianMatrix {
   /// any other width. Collective. No-op under ABFT (the checked reduction
   /// path is never planned).
   void warm_plans(Index ncols) {
-    if (ncols <= 0 || coll::abft_enabled()) return;
+    if (ncols <= 0 || coll::abft_policy.get()) return;
     warm_direction(/*c2b=*/true, ncols, grid_->col_comm());
     warm_direction(/*c2b=*/false, ncols, grid_->row_comm());
   }
@@ -229,7 +229,7 @@ class DistHermitianMatrix {
     // ABFT forces the synchronous path: the checksum lane must ride next to
     // the full payload, and replaying an in-flight overlapped block would
     // tangle with the pipeline's outstanding requests.
-    const bool abft = coll::abft_enabled();
+    const bool abft = coll::abft_policy.get();
     const Index nblk = abft ? 1 : plan_blocks(reduce_comm, ncols);
     if (nblk <= 1) {
       multiply(x, partial);
@@ -295,7 +295,7 @@ class DistHermitianMatrix {
   /// rebuilds instead of replaying a stale routine choice.
   coll::CollPlan& plan_for(bool c2b, Index ncols, Index out_rows,
                            const comm::Communicator& reduce_comm) {
-    const int algo = int(coll::algorithm());
+    const int algo = int(coll::algorithm_policy.get());
     const std::size_t chunk = coll::chunk_bytes();
     for (auto& s : plans_) {
       if (s.c2b == c2b && s.ncols == ncols && s.algo == algo &&

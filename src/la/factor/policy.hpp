@@ -1,11 +1,11 @@
 // Runtime policy for the blocked factorization engine (src/la/factor/).
 //
-// Mirrors the gemm policy (src/la/gemm_policy.hpp): the process picks one of
+// Like the gemm policy (src/la/gemm_policy.hpp), the process picks one of
 // two kernel implementations for every TRSM/TRMM/POTRF/HERK/HETRD and
 // compact-WY (larft/larfb) call,
 //
-//   CHASE_FACTOR_KERNEL = naive | blocked   (default: the CMake cache
-//       variable CHASE_DEFAULT_FACTOR_KERNEL baked into the build)
+//   CHASE_FACTOR_KERNEL = naive | blocked   (default: blocked; unknown text
+//       throws env::ConfigError at first use)
 //
 //   naive   — the seed scalar kernels: per-column axpy substitution,
 //             left-looking scalar POTRF, dotc Gram loops, per-reflector
@@ -21,19 +21,17 @@
 //             scalar loops into micro-kernel flops.
 //
 // Resolution order per call (the autotuner contract, DESIGN.md §15):
-//   1. explicit override — the CHASE_FACTOR_KERNEL env var or a
-//      set_factor_kernel()/ScopedFactorKernel guard;
+//   1. explicit override — the CHASE_FACTOR_KERNEL env var or a pin of
+//      factor_kernel_policy (ScopedPolicy in benches and tests);
 //   2. loaded machine profile — the per-triangular-size-class winner from
 //      perf::tuned_tables() (installed by tune::install_profile);
-//   3. built-in default — the build-time CHASE_DEFAULT_FACTOR_KERNEL.
-//
-// The policy is process-global and cheap to read (one relaxed atomic load);
-// ScopedFactorKernel lets benches and tests flip it per section.
+//   3. built-in default — blocked.
 #pragma once
 
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "la/matrix.hpp"
 #include "perf/tuned.hpp"
 
@@ -54,40 +52,12 @@ std::optional<FactorKernel> parse_factor_kernel(std::string_view name);
 /// Per-call Tracker counter name for a kernel ("la.factor.<name>.calls").
 std::string_view factor_kernel_counter(FactorKernel k);
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (CHASE_FACTOR_KERNEL at first use, or set_factor_kernel), else the
-/// build-time default. Shape-oblivious — the dispatchers use
-/// factor_kernel_for().
-FactorKernel factor_kernel();
-
-/// Pin an explicit override. Overrides beat any loaded profile.
-void set_factor_kernel(FactorKernel k);
-
-/// True when an explicit override (env or set_factor_kernel) is pinned.
-bool factor_kernel_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override).
-int raw_factor_kernel_override();
-void set_raw_factor_kernel_override(int raw);
+/// CHASE_FACTOR_KERNEL: the process-wide override (default blocked).
+/// Shape-oblivious — the dispatchers use factor_kernel_for().
+extern Policy<FactorKernel> factor_kernel_policy;
 
 /// Shape-aware kernel choice for one factorization over an n x n triangle:
 /// override > profile table entry > built-in default.
 FactorKernel factor_kernel_for(Index n);
-
-/// RAII policy override for benches and tests. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedFactorKernel {
- public:
-  explicit ScopedFactorKernel(FactorKernel k)
-      : prev_(raw_factor_kernel_override()) {
-    set_factor_kernel(k);
-  }
-  ~ScopedFactorKernel() { set_raw_factor_kernel_override(prev_); }
-  ScopedFactorKernel(const ScopedFactorKernel&) = delete;
-  ScopedFactorKernel& operator=(const ScopedFactorKernel&) = delete;
-
- private:
-  int prev_;
-};
 
 }  // namespace chase::la

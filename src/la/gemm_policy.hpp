@@ -1,45 +1,40 @@
 // Runtime policy for the dense matrix-multiply engine.
 //
-// Mirrors the collective-engine policy (src/coll/engine.hpp): the process
-// picks one of three kernel implementations for every gemm()/hemm() call,
+// The process picks one of two kernel implementations for every
+// gemm()/hemm() call,
 //
-//   CHASE_GEMM_KERNEL = naive | blocked | micro   (default: the CMake cache
-//       variable CHASE_DEFAULT_GEMM_KERNEL baked into the build)
+//   CHASE_GEMM_KERNEL = naive | micro   (default: micro; unknown text throws
+//       env::ConfigError at first use)
 //
 //   naive   — unblocked triple loop; the reference oracle every other kernel
 //             is validated against (tests/la) and the Gflop/s floor the bench
 //             trajectory measures speedups from.
-//   blocked — the seed path: L2 cache blocking with packed operand panels and
-//             a two-way-unrolled rank-1-update inner kernel.
-//   micro   — five-loop BLIS-style engine: the cache blocking of `blocked`,
-//             but the packed panels are laid out as mr x kc / kc x nr
-//             micro-panels consumed by a register-tiled mr x nr micro-kernel
-//             (src/la/gemm_micro.hpp). This is the only policy that engages
-//             the Hermitian-aware hemm() engine.
+//   micro   — five-loop BLIS-style engine: packed operand panels laid out as
+//             mr x kc / kc x nr micro-panels consumed by a register-tiled
+//             mr x nr micro-kernel (src/la/gemm_micro.hpp). This is the only
+//             policy that engages the Hermitian-aware hemm() engine.
 //
 // Resolution order per call (the autotuner contract, DESIGN.md §15):
-//   1. explicit override — the CHASE_GEMM_KERNEL env var or a
-//      set_gemm_kernel()/ScopedGemmKernel guard pins one kernel process-wide;
+//   1. explicit override — the CHASE_GEMM_KERNEL env var or a pin of
+//      gemm_kernel_policy (ScopedPolicy in benches and tests);
 //   2. loaded machine profile — the per-(scalar type, shape class) winner
 //      from perf::tuned_tables() (installed by tune::install_profile);
-//   3. built-in default — the build-time CHASE_DEFAULT_GEMM_KERNEL.
+//   3. built-in default — micro.
 // A process with no override and no profile behaves exactly as before the
 // autotuner existed.
-//
-// The policy is process-global and cheap to read (one relaxed atomic load);
-// ScopedGemmKernel lets benches and tests flip it per section.
 #pragma once
 
 #include <optional>
 #include <string_view>
 
+#include "common/policy.hpp"
 #include "common/scalar.hpp"
 #include "la/matrix.hpp"
 #include "perf/tuned.hpp"
 
 namespace chase::la {
 
-enum class GemmKernel : int { kNaive = 0, kBlocked, kMicro };
+enum class GemmKernel : int { kNaive = 0, kMicro };
 
 std::string_view gemm_kernel_name(GemmKernel k);
 std::optional<GemmKernel> parse_gemm_kernel(std::string_view name);
@@ -58,41 +53,12 @@ constexpr perf::ScalarTag scalar_tag() {
   }
 }
 
-/// Effective process-wide policy: the explicit override when one is set
-/// (env or set_gemm_kernel), else the build-time default. Shape-oblivious —
-/// the dispatchers use gemm_kernel_for().
-GemmKernel gemm_kernel();
-
-/// Pin an explicit override (what the CHASE_GEMM_KERNEL env var does at
-/// first use). Overrides beat any loaded profile.
-void set_gemm_kernel(GemmKernel k);
-
-/// True when an explicit override (env or set_gemm_kernel) is pinned.
-bool gemm_kernel_overridden();
-
-/// Raw override slot for exact save/restore (-1 = no override). Scoped
-/// guards use these so that unwinding restores "no override" instead of
-/// freezing the default as an override.
-int raw_gemm_kernel_override();
-void set_raw_gemm_kernel_override(int raw);
+/// CHASE_GEMM_KERNEL: the process-wide override (default micro).
+/// Shape-oblivious — the dispatchers use gemm_kernel_for().
+extern Policy<GemmKernel> gemm_kernel_policy;
 
 /// Shape-aware kernel choice for one m x n x k product of scalar class
 /// `tag`: override > profile table entry > built-in default.
 GemmKernel gemm_kernel_for(perf::ScalarTag tag, Index m, Index n, Index k);
-
-/// RAII policy override for benches and tests. Restores the previous raw
-/// override state (including "none") on exit.
-class ScopedGemmKernel {
- public:
-  explicit ScopedGemmKernel(GemmKernel k) : prev_(raw_gemm_kernel_override()) {
-    set_gemm_kernel(k);
-  }
-  ~ScopedGemmKernel() { set_raw_gemm_kernel_override(prev_); }
-  ScopedGemmKernel(const ScopedGemmKernel&) = delete;
-  ScopedGemmKernel& operator=(const ScopedGemmKernel&) = delete;
-
- private:
-  int prev_;
-};
 
 }  // namespace chase::la

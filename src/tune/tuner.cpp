@@ -49,11 +49,10 @@ template <typename T>
 void probe_gemm(const TuneOptions& opts, const char* tag,
                 std::vector<RawMeasurement>& out) {
   constexpr la::GemmKernel kKernels[] = {la::GemmKernel::kNaive,
-                                         la::GemmKernel::kBlocked,
                                          la::GemmKernel::kMicro};
   const double z = kIsComplex<T> ? 8.0 : 2.0;
   double small_best = 0;
-  double small_rate[3] = {0, 0, 0};
+  double small_rate[2] = {0, 0};
   for (std::size_t si = 0; si < opts.gemm_sizes.size(); ++si) {
     const Index n = Index(opts.gemm_sizes[si]);
     auto a = random_mat<T>(n, n, 1);
@@ -64,7 +63,7 @@ void probe_gemm(const TuneOptions& opts, const char* tag,
       if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
         continue;  // pruned: decisively lost at the small size already
       }
-      la::ScopedGemmKernel scoped(kern);
+      ScopedPolicy scoped(la::gemm_kernel_policy, kern);
       const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
         la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
       });
@@ -106,7 +105,7 @@ void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
       if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
         continue;
       }
-      la::ScopedFactorKernel scoped(kern);
+      ScopedPolicy scoped(la::factor_kernel_policy, kern);
       const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
         la::copy(g.cview(), work.view());
         la::copy(b.cview(), x.view());
@@ -189,8 +188,8 @@ void probe_collectives(const TuneOptions& opts,
   for (const perf::CollKind kind : kKinds) {
     for (const std::size_t bytes : opts.coll_bytes) {
       for (const coll::Algorithm algo : kAlgos) {
-        coll::ScopedAlgorithm scoped(algo);
-        coll::ScopedChunkBytes chunk(std::size_t(64) << 10);
+        ScopedPolicy scoped(coll::algorithm_policy, algo);
+        ScopedPolicy chunk(coll::chunk_bytes_policy, std::size_t(64) << 10);
         const double sec = time_collective(kind, p, bytes, opts);
         out.push_back({std::string("coll.") + kind_token(kind) + "." +
                            size_token("b", (long long)(bytes)) + "." +
@@ -206,8 +205,8 @@ void probe_collectives(const TuneOptions& opts,
     const std::size_t bytes =
         *std::max_element(opts.coll_bytes.begin(), opts.coll_bytes.end());
     for (const std::size_t chunk : opts.chunk_candidates) {
-      coll::ScopedAlgorithm scoped(coll::Algorithm::kRing);
-      coll::ScopedChunkBytes chunk_scope(chunk);
+      ScopedPolicy scoped(coll::algorithm_policy, coll::Algorithm::kRing);
+      ScopedPolicy chunk_scope(coll::chunk_bytes_policy, chunk);
       const double sec =
           time_collective(perf::CollKind::kAllReduce, p, bytes, opts);
       out.push_back({std::string("chunk.allreduce.") +
@@ -305,16 +304,7 @@ TuneOptions options_from_env() {
     o.coll_ranks = int(env::ranged_int("CHASE_TUNE_RANKS",
                                        std::to_string(*v), 2, 256));
   }
-  if (const auto v = env::text_env("CHASE_TUNE_QUICK")) {
-    if (*v == "1" || *v == "true" || *v == "yes") {
-      o.quick = true;
-    } else if (*v == "0" || *v == "false" || *v == "no") {
-      o.quick = false;
-    } else {
-      env::reject("CHASE_TUNE_QUICK", *v, "not a boolean",
-                  "0 | 1 | true | false | yes | no");
-    }
-  }
+  if (const auto v = env::boolean_env("CHASE_TUNE_QUICK")) o.quick = *v;
   return o;
 }
 

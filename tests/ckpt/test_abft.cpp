@@ -56,7 +56,7 @@ TEST(AbftUnit, BufferFiniteSeesComplexAndIntegral) {
 }
 
 TEST(Abft, CheckedAllReduceRepairsInjectedCorruption) {
-  ScopedAbft abft(true);
+  ScopedPolicy abft(abft_policy, true);
   // Every rank's first allreduce result gets one NaN element; the suspicious
   // bit trips even though the corruption is rank-uniform, and the replay
   // (budget now exhausted) returns the true sums everywhere.
@@ -75,7 +75,7 @@ TEST(Abft, CheckedAllReduceRepairsInjectedCorruption) {
 }
 
 TEST(Abft, PersistentCorruptionPoisonsTeam) {
-  ScopedAbft abft(true);
+  ScopedPolicy abft(abft_policy, true);
   fault::Scoped corrupt("allreduce.corrupt", /*rank=*/-1, /*times=*/-1);
   comm::Team team(4);
   try {
@@ -90,8 +90,9 @@ TEST(Abft, PersistentCorruptionPoisonsTeam) {
 }
 
 TEST(Abft, P2pCorruptionDetectedByChecksummedBlockReduce) {
-  ScopedAbft abft(true);
-  ScopedAlgorithm ring(Algorithm::kRing);  // route through the p2p channels
+  ScopedPolicy abft(abft_policy, true);
+  // route through the p2p channels
+  ScopedPolicy ring(algorithm_policy, Algorithm::kRing);
   // Rank 0's first chunk send has its leading bytes flipped to 0xFF — a NaN
   // pattern for double payloads — modelling transport corruption under the
   // reduction. The block replays and comes out exact.
@@ -122,7 +123,7 @@ TEST(Abft, DisabledPathIsPlainAllReduce) {
   // ABFT off: checked_all_reduce must not save/verify/replay — a corrupted
   // result passes through untouched (which is exactly the failure mode the
   // sentinels exist to close).
-  ScopedAbft abft(false);
+  ScopedPolicy abft(abft_policy, false);
   fault::Scoped corrupt("allreduce.corrupt", /*rank=*/-1, /*times=*/1);
   std::atomic<int> nan_seen{0};
   comm::Team team(2);
@@ -149,7 +150,7 @@ TEST(Abft, SolveWithAbftRidesOutInjectedCorruption) {
   auto clean = core::solve_sequential<T>(h.cview(), cfg);
   ASSERT_TRUE(clean.converged);
 
-  ScopedAbft abft(true);
+  ScopedPolicy abft(abft_policy, true);
   // Corrupt every rank's first allreduce of outer iteration 2 — with ABFT on
   // that is the filter's checked block reduction, so the sentinel repairs it
   // in place and the solve finishes as if nothing happened.

@@ -181,8 +181,8 @@ TEST(FileSinkTest, RoundTripPruneAndCorruptFallback) {
 }
 
 TEST(CheckpointPolicy, ScopedIntervalOverridesEnvironment) {
-  ScopedCheckpointInterval scoped(4);
-  EXPECT_EQ(checkpoint_interval(), 4);
+  ScopedPolicy scoped(interval_policy, 4);
+  EXPECT_EQ(interval_policy.get(), 4);
   CheckpointEngine<double> engine(nullptr);
   EXPECT_FALSE(engine.enabled());  // no sink
   MemorySink sink;

@@ -67,11 +67,11 @@ std::vector<T> reference_allreduce(int p, Index count, Reduction op,
 template <typename T>
 void sweep_allreduce() {
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
     // 48 bytes forces multi-chunk pipelines at the larger counts; the
     // default exercises the single-chunk fast path.
     for (const std::size_t chunk : {std::size_t(48), std::size_t(64) << 10}) {
-      coll::ScopedChunkBytes chunk_scope(chunk);
+      ScopedPolicy chunk_scope(coll::chunk_bytes_policy, chunk);
       for (const int p : kTeamSizes) {
         for (const Index count : kCounts) {
           const std::uint64_t salt =
@@ -104,8 +104,8 @@ TEST(CollSweep, AllReduceBitwiseComplex) {
 
 TEST(CollSweep, AllReduceMaxMin) {
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
-    coll::ScopedChunkBytes chunk_scope(48);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
+    ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 48);
     for (const int p : {3, 8}) {
       for (const Reduction op : {Reduction::kMax, Reduction::kMin}) {
         const std::uint64_t salt = 77;
@@ -128,9 +128,9 @@ TEST(CollSweep, AllReduceMaxMin) {
 template <typename T>
 void sweep_allgather() {
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
     for (const std::size_t chunk : {std::size_t(48), std::size_t(64) << 10}) {
-      coll::ScopedChunkBytes chunk_scope(chunk);
+      ScopedPolicy chunk_scope(coll::chunk_bytes_policy, chunk);
       for (const int p : kTeamSizes) {
         for (const Index count : kCounts) {
           const std::uint64_t salt =
@@ -165,9 +165,9 @@ TEST(CollSweep, AllGatherBitwiseComplex) {
 template <typename T>
 void sweep_broadcast() {
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
     for (const std::size_t chunk : {std::size_t(48), std::size_t(64) << 10}) {
-      coll::ScopedChunkBytes chunk_scope(chunk);
+      ScopedPolicy chunk_scope(coll::chunk_bytes_policy, chunk);
       for (const int p : kTeamSizes) {
         for (const Index count : kCounts) {
           for (const int root : {0, p - 1}) {
@@ -198,8 +198,8 @@ TEST(CollSweep, BroadcastBitwiseComplex) {
 
 TEST(CollSweep, AllGatherVVariedCountsAndHoles) {
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
-    coll::ScopedChunkBytes chunk_scope(48);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
+    ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 48);
     for (const int p : {1, 3, 5, 8}) {
       // Mixed zero/nonzero counts plus a one-element hole between ranges:
       // rank r contributes r+1 elements if r is even, nothing otherwise.
@@ -237,7 +237,7 @@ TEST(CollSweep, AllGatherVVariedCountsAndHoles) {
 TEST(CollEdge, AllGatherVOverlappingDisplsRejected) {
   for (const coll::Algorithm algo :
        {coll::Algorithm::kNaive, coll::Algorithm::kRing}) {
-    coll::ScopedAlgorithm policy(algo);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
     Team team(3);
     try {
       team.run([&](Communicator& comm) {
@@ -258,8 +258,8 @@ TEST(CollNonblocking, OutstandingRequestsCompleteBitwise) {
   for (const coll::Algorithm algo :
        {coll::Algorithm::kRing, coll::Algorithm::kTree,
         coll::Algorithm::kAuto}) {
-    coll::ScopedAlgorithm policy(algo);
-    coll::ScopedChunkBytes chunk_scope(64);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
+    ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 64);
     const int p = 4;
     const Index count = 257;
     const auto want_a = reference_allreduce<double>(p, count, Reduction::kSum, 1);
@@ -298,7 +298,7 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
   std::vector<std::vector<std::vector<double>>> outs;  // [policy][rank]
   double overlap_blocks = 0;
   for (const coll::Algorithm algo : kPolicies) {
-    coll::ScopedAlgorithm policy(algo);
+    ScopedPolicy policy(coll::algorithm_policy, algo);
     const int p = 4;
     std::vector<perf::Tracker> trackers((std::size_t(p)));
     std::vector<std::vector<double>> got((std::size_t(p)));
@@ -342,8 +342,8 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
 }
 
 TEST(CollFault, P2pCorruptPropagatesNaN) {
-  coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
-  coll::ScopedChunkBytes chunk_scope(std::size_t(64) << 10);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kRing);
+  ScopedPolicy chunk_scope(coll::chunk_bytes_policy, std::size_t(64) << 10);
   fault::Scoped site("p2p.corrupt", /*rank=*/0, /*times=*/1);
   const int p = 4;
   Team team(p);
@@ -358,8 +358,8 @@ TEST(CollFault, P2pCorruptPropagatesNaN) {
 }
 
 TEST(CollFault, P2pStallTripsWatchdog) {
-  coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
-  comm::ScopedBarrierTimeout timeout(std::chrono::milliseconds(200));
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kRing);
+  ScopedPolicy timeout(comm::watchdog_policy, std::chrono::milliseconds(200));
   fault::Scoped site("p2p.stall", /*rank=*/1, /*times=*/1);
   Team team(3);
   try {
@@ -374,7 +374,7 @@ TEST(CollFault, P2pStallTripsWatchdog) {
 }
 
 TEST(CollFault, RankDieOnChannelPathAborts) {
-  coll::ScopedAlgorithm policy(coll::Algorithm::kTree);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kTree);
   fault::Scoped site("rank.die", /*rank=*/1, /*times=*/1);
   Team team(4);
   try {
@@ -394,8 +394,8 @@ TEST(CollFault, RankDieOnChannelPathAborts) {
 // synchronization in Mailbox/CommState shows up here under
 // -fsanitize=thread (ctest -L coll on the tsan preset).
 TEST(CollStress, ConcurrentTeams) {
-  coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
-  coll::ScopedChunkBytes chunk_scope(64);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kAuto);
+  ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 64);
   const int nteams = 4;
   std::vector<std::thread> drivers;
   drivers.reserve(nteams);

@@ -78,9 +78,9 @@ void sweep_hier_allreduce() {
   for (const char* spec : kShapes) {
     comm::ScopedTopology topo(shape(spec));
     for (const coll::Algorithm algo : kHierPolicies) {
-      coll::ScopedAlgorithm policy(algo);
+      ScopedPolicy policy(coll::algorithm_policy, algo);
       for (const std::size_t chunk : {std::size_t(48), std::size_t(64) << 10}) {
-        coll::ScopedChunkBytes chunk_scope(chunk);
+        ScopedPolicy chunk_scope(coll::chunk_bytes_policy, chunk);
         for (const Index count : {Index(0), Index(1), Index(7), Index(1023)}) {
           const std::uint64_t salt =
               std::uint64_t(count) * 131u + std::uint64_t(chunk % 97);
@@ -114,8 +114,9 @@ void sweep_hier_broadcast_gather() {
   for (const char* spec : kShapes) {
     comm::ScopedTopology topo(shape(spec));
     for (const coll::Algorithm algo : kHierPolicies) {
-      coll::ScopedAlgorithm policy(algo);
-      coll::ScopedChunkBytes chunk_scope(48);  // force multi-chunk pipelines
+      ScopedPolicy policy(coll::algorithm_policy, algo);
+      // force multi-chunk pipelines
+      ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 48);
       for (const Index count : {Index(1), Index(65), Index(257)}) {
         for (const int root : {0, 3, kRanks - 1}) {
           const std::uint64_t salt = std::uint64_t(count) * 7u + root;
@@ -221,7 +222,7 @@ TEST(HierGroup, SubCommunicatorShapes) {
 
 TEST(HierGroup, UnevenShapeAndSplitInheritance) {
   comm::ScopedTopology topo(shape("0,0,0,1,1,1,1,1"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kHier);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kHier);
   Team team(kRanks);
   team.run([&](Communicator& comm) {
     const int r = comm.rank();
@@ -250,8 +251,8 @@ TEST(HierGroup, UnevenShapeAndSplitInheritance) {
 template <typename T>
 void plan_replay_roundtrip() {
   comm::ScopedTopology topo(shape("2x4"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
-  coll::ScopedChunkBytes chunk_scope(96);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kAuto);
+  ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 96);
   const Index count = 201;
   constexpr int kReplays = 3;
   std::vector<perf::Tracker> trackers(static_cast<std::size_t>(kRanks));
@@ -306,7 +307,7 @@ TEST(CollPlan, ReplayMatchesDispatchComplex) {
 
 TEST(CollPlan, NonblockingStartMatchesBlockingRun) {
   comm::ScopedTopology topo(shape("2x4"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kRing);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kRing);
   const Index count = 129;
   Team team(kRanks);
   team.run([&](Communicator& comm) {
@@ -332,9 +333,9 @@ TEST(HierFault, LeaderDeathPropagatesThroughBothLevels) {
   // hierarchical collective, and every rank of both levels (its intra-node
   // teammates and the cross-node leader exchange) must unblock with
   // TeamAborted instead of hanging.
-  comm::ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(comm::watchdog_policy, kTestTimeout);
   comm::ScopedTopology topo(shape("2x4"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kHier);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kHier);
   fault::Scoped armed("rank.die", /*rank=*/7, /*times=*/1);
   Team team(kRanks);
   try {
@@ -354,9 +355,9 @@ TEST(HierFault, PlanReplayDeathAborts) {
   // Replays run the fault-injection hook too: a rank dying on the Nth
   // replay of a registered plan aborts the team instead of deadlocking the
   // other replayers.
-  comm::ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(comm::watchdog_policy, kTestTimeout);
   comm::ScopedTopology topo(shape("2x4"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kAuto);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kAuto);
   fault::Scoped armed("rank.die", /*rank=*/3, /*times=*/1);
   Team team(kRanks);
   EXPECT_THROW(

@@ -57,7 +57,7 @@ TEST(FaultTolerance, RankDieInCollectiveIsReportedNotDeadlocked) {
   // collective. Siblings must unblock (no deadlock), the process must
   // survive (no abort), and Team::run must rethrow the originating rank's
   // error with the site name.
-  ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(watchdog_policy, kTestTimeout);
   fault::Scoped armed("rank.die", /*rank=*/2, /*times=*/1);
   Team team(4);
   try {
@@ -78,7 +78,7 @@ TEST(FaultTolerance, RankDieInCollectiveIsReportedNotDeadlocked) {
 TEST(FaultTolerance, SubsequentTeamRunsCleanly) {
   // After an aborted team, fresh Teams in the same process must work — both
   // a brand-new Team object and a second run() of the same Team.
-  ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(watchdog_policy, kTestTimeout);
   Team team(4);
   {
     fault::Scoped armed("rank.die", /*rank=*/2, /*times=*/1);
@@ -103,7 +103,7 @@ TEST(FaultTolerance, SubsequentTeamRunsCleanly) {
 }
 
 TEST(FaultTolerance, RankExceptionCarriesOriginalMessage) {
-  ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(watchdog_policy, kTestTimeout);
   Team team(3);
   try {
     team.run([](Communicator& comm) {
@@ -120,7 +120,7 @@ TEST(FaultTolerance, RankExceptionCarriesOriginalMessage) {
 TEST(FaultTolerance, SilentDeathOutsideCollectiveTripsWatchdog) {
   // A rank that returns early without throwing never records anything; the
   // longest-waiting sibling's watchdog must detect it instead of hanging.
-  ScopedBarrierTimeout fast(std::chrono::milliseconds(300));
+  ScopedPolicy fast(watchdog_policy, std::chrono::milliseconds(300));
   Team team(3);
   try {
     team.run([](Communicator& comm) {
@@ -137,7 +137,7 @@ TEST(FaultTolerance, PoisonCrossesSplitCommunicators) {
   // Death inside a child communicator must unblock ranks waiting on the
   // parent (and vice versa): the whole communicator tree shares one
   // ErrorState.
-  ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(watchdog_policy, kTestTimeout);
   // skip=1 lets rank 3 survive the rank.die check at split() entry so the
   // death lands inside the *child* collective.
   fault::Scoped armed("rank.die", /*rank=*/3, /*times=*/1, /*skip=*/1);
@@ -163,7 +163,7 @@ TEST(FaultTolerance, CollectiveMismatchIsDiagnosedNotFatal) {
   // Divergent SPMD control flow (one rank calls broadcast while the others
   // call all_reduce) used to abort the process; now it must poison the team
   // with a diagnosable error.
-  ScopedBarrierTimeout fast(kTestTimeout);
+  ScopedPolicy fast(watchdog_policy, kTestTimeout);
   Team team(3);
   try {
     team.run([](Communicator& comm) {

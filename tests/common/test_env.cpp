@@ -1,8 +1,10 @@
-// Validated parsing of the numeric CHASE_* environment knobs: garbage must
-// become a typed ConfigError naming the variable, never a silent 0.
+// Validated parsing of the CHASE_* environment knobs: garbage must become a
+// typed ConfigError naming the variable, never a silent 0 or default.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "common/env.hpp"
 
@@ -95,6 +97,37 @@ TEST(TextEnv, TrimsSurroundingWhitespace) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, "2x4@inter_us=30");
   ::unsetenv("CHASE_TEST_ENV_TEXT");
+}
+
+TEST(BooleanEnv, AcceptsEverySpellingAndTreatsEmptyAsUnset) {
+  constexpr const char* kVar = "CHASE_TEST_ENV_BOOL";
+  ::unsetenv(kVar);
+  EXPECT_EQ(boolean_env(kVar), std::nullopt);
+  ::setenv(kVar, "", 1);
+  EXPECT_EQ(boolean_env(kVar), std::nullopt);
+  for (const char* on : {"1", "true", "yes", "on", " on "}) {
+    ::setenv(kVar, on, 1);
+    EXPECT_EQ(boolean_env(kVar), true) << on;
+  }
+  for (const char* off : {"0", "false", "no", "off"}) {
+    ::setenv(kVar, off, 1);
+    EXPECT_EQ(boolean_env(kVar), false) << off;
+  }
+  ::unsetenv(kVar);
+}
+
+TEST(BooleanEnv, RejectsAnythingElseNamingTheVariable) {
+  constexpr const char* kVar = "CHASE_TEST_ENV_BOOL";
+  for (const char* bad : {"of", "2", "TRUE", "enabled"}) {
+    ::setenv(kVar, bad, 1);
+    try {
+      (void)boolean_env(kVar);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(kVar), std::string::npos);
+    }
+  }
+  ::unsetenv(kVar);
 }
 
 TEST(SplitList, SplitsAndTrimsTokens) {

@@ -140,17 +140,17 @@ TEST(PrecisionPolicy, ParseAndName) {
 }
 
 TEST(PrecisionPolicy, ScopedOverrideRestores) {
-  const Precision before = precision();
+  const Precision before = precision_policy.get();
   {
-    ScopedPrecision outer(Precision::kMixed);
-    EXPECT_EQ(precision(), Precision::kMixed);
+    ScopedPolicy outer(precision_policy, Precision::kMixed);
+    EXPECT_EQ(precision_policy.get(), Precision::kMixed);
     {
-      ScopedPrecision inner(Precision::kDouble);
-      EXPECT_EQ(precision(), Precision::kDouble);
+      ScopedPolicy inner(precision_policy, Precision::kDouble);
+      EXPECT_EQ(precision_policy.get(), Precision::kDouble);
     }
-    EXPECT_EQ(precision(), Precision::kMixed);
+    EXPECT_EQ(precision_policy.get(), Precision::kMixed);
   }
-  EXPECT_EQ(precision(), before);
+  EXPECT_EQ(precision_policy.get(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ TYPED_TEST(MixedSolve, SequentialMatchesDoublePrecision) {
   auto cfg = small_config();
 
   ChaseResult<T> ref = [&] {
-    ScopedPrecision sp(Precision::kDouble);
+    ScopedPolicy sp(precision_policy, Precision::kDouble);
     return solve_sequential<T>(h.cview(), cfg);
   }();
   ASSERT_TRUE(ref.converged);
@@ -189,7 +189,7 @@ TYPED_TEST(MixedSolve, SequentialMatchesDoublePrecision) {
   perf::Tracker t;
   perf::set_thread_tracker(&t);
   ChaseResult<T> mixed = [&] {
-    ScopedPrecision sp(Precision::kMixed);
+    ScopedPolicy sp(precision_policy, Precision::kMixed);
     return solve_sequential<T>(h.cview(), cfg);
   }();
   perf::set_thread_tracker(nullptr);
@@ -212,12 +212,12 @@ TEST(MixedSolve, DistributedV14MatchesSequentialDouble) {
   auto cfg = small_config();
 
   ChaseResult<T> seq = [&] {
-    ScopedPrecision sp(Precision::kDouble);
+    ScopedPolicy sp(precision_policy, Precision::kDouble);
     return solve_sequential<T>(h.cview(), cfg);
   }();
   ASSERT_TRUE(seq.converged);
 
-  ScopedPrecision sp(Precision::kMixed);
+  ScopedPolicy sp(precision_policy, Precision::kMixed);
   std::vector<perf::Tracker> trackers(4);
   comm::Team team(4);
   team.run(
@@ -248,12 +248,12 @@ TEST(MixedSolve, LegacyLmsMatchesSequentialDouble) {
   auto cfg = small_config();
 
   ChaseResult<T> seq = [&] {
-    ScopedPrecision sp(Precision::kDouble);
+    ScopedPolicy sp(precision_policy, Precision::kDouble);
     return solve_sequential<T>(h.cview(), cfg);
   }();
   ASSERT_TRUE(seq.converged);
 
-  ScopedPrecision sp(Precision::kMixed);
+  ScopedPolicy sp(precision_policy, Precision::kMixed);
   std::vector<perf::Tracker> trackers(4);
   comm::Team team(4);
   team.run(
@@ -290,7 +290,7 @@ TEST(MixedSolve, PerColumnFallbackEngagesDeterministically) {
   pc.resid_floor = 1e9;
   pc.subspace_stall_limit = 1000;
   ScopedPromotionConfig spc(pc);
-  ScopedPrecision sp(Precision::kMixed);
+  ScopedPolicy sp(precision_policy, Precision::kMixed);
 
   perf::Tracker t;
   perf::set_thread_tracker(&t);
@@ -318,7 +318,7 @@ TEST(MixedSolve, SubspaceFallbackEngagesDeterministically) {
   pc.column_stall_limit = 1000;
   pc.subspace_stall_limit = 0;
   ScopedPromotionConfig spc(pc);
-  ScopedPrecision sp(Precision::kMixed);
+  ScopedPolicy sp(precision_policy, Precision::kMixed);
 
   perf::Tracker t;
   perf::set_thread_tracker(&t);

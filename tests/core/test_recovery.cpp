@@ -153,7 +153,7 @@ TEST(Recovery, RankDeathDuringDistributedSolveIsReported) {
       gen::uniform_spectrum<double>(n, 0.0, 3.0), 51);
   auto cfg = recovery_config<T>();
 
-  comm::ScopedBarrierTimeout fast(std::chrono::milliseconds(2000));
+  ScopedPolicy fast(comm::watchdog_policy, std::chrono::milliseconds(2000));
   fault::Scoped armed("rank.die", /*rank=*/1, /*times=*/1);
   comm::Team team(4);
   try {

@@ -97,7 +97,7 @@ TYPED_TEST(FactorKernelsTyped, TrsmTrmmBlockedMatchesNaiveAcrossShapes) {
       for (const Case& c : cases) {
         Matrix<T> results[2];
         for (int p = 0; p < 2; ++p) {
-          ScopedFactorKernel scoped(kPolicies[p]);
+          ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
           results[p] = clone(c.rhs->cview());
           c.run(c.tri->cview(), results[p].view());
         }
@@ -121,7 +121,7 @@ TYPED_TEST(FactorKernelsTyped, HerkUpperBlockedMatchesNaiveAcrossShapes) {
       const auto c0 = random_matrix<T>(n, n, 60 + seed);
       Matrix<T> results[2];
       for (int p = 0; p < 2; ++p) {
-        ScopedFactorKernel scoped(kPolicies[p]);
+        ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
         results[p] = clone(c0.cview());
         herk_upper(alpha, x.cview(), beta, results[p].view());
       }
@@ -156,7 +156,7 @@ TYPED_TEST(FactorKernelsTyped, PotrfBlockedMatchesNaiveOnPosDef) {
     Matrix<T> results[2];
     int infos[2] = {0, 0};
     for (int p = 0; p < 2; ++p) {
-      ScopedFactorKernel scoped(kPolicies[p]);
+      ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
       results[p] = clone(a0.cview());
       infos[p] = potrf_upper(results[p].view());
     }
@@ -189,7 +189,7 @@ TYPED_TEST(FactorKernelsTyped, PotrfInfoIndexAgreesExactly) {
     a0(bad, bad) = T(-1);
     int infos[2] = {0, 0};
     for (int p = 0; p < 2; ++p) {
-      ScopedFactorKernel scoped(kPolicies[p]);
+      ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
       auto a = clone(a0.cview());
       infos[p] = potrf_upper(a.view());
     }
@@ -213,7 +213,7 @@ TYPED_TEST(FactorKernelsTyped, PotrfPivotFloorBreakdownAgrees) {
   const R rel_tol = R(n) * unit_roundoff<T>();
   int infos[2] = {0, 0};
   for (int p = 0; p < 2; ++p) {
-    ScopedFactorKernel scoped(kPolicies[p]);
+    ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
     auto a = clone(a0.cview());
     infos[p] = potrf_upper(a.view(), rel_tol);
   }
@@ -229,7 +229,7 @@ TYPED_TEST(FactorKernelsTyped, HetrdReconstructsUnderBothPolicies) {
     std::vector<R> ds[2], es[2];
     Matrix<T> qs[2];
     for (int p = 0; p < 2; ++p) {
-      ScopedFactorKernel scoped(kPolicies[p]);
+      ScopedPolicy scoped(factor_kernel_policy, kPolicies[p]);
       auto a = clone(a0.cview());
       qs[p] = Matrix<T>(n, n);
       hetrd_lower(a.view(), ds[p], es[p], qs[p].view());
@@ -280,7 +280,7 @@ TYPED_TEST(FactorKernelsTyped, BlockedQrOrthonormalizesUnderBothPolicies) {
   const Index m = 200, n = 70;
   const auto x0 = random_matrix<T>(m, n, 110);
   for (FactorKernel kern : kPolicies) {
-    ScopedFactorKernel scoped(kern);
+    ScopedPolicy scoped(factor_kernel_policy, kern);
     auto q = clone(x0.cview());
     householder_orthonormalize_blocked(q.view());
     const R t = tol<T>(R(100)) * R(m);
@@ -307,17 +307,17 @@ TEST(FactorPolicy, ParseAndNames) {
 }
 
 TEST(FactorPolicy, ScopedOverrideRestores) {
-  const FactorKernel before = factor_kernel();
+  const FactorKernel before = factor_kernel_policy.get();
   {
-    ScopedFactorKernel scoped(FactorKernel::kNaive);
-    EXPECT_EQ(factor_kernel(), FactorKernel::kNaive);
+    ScopedPolicy scoped(factor_kernel_policy, FactorKernel::kNaive);
+    EXPECT_EQ(factor_kernel_policy.get(), FactorKernel::kNaive);
     {
-      ScopedFactorKernel inner(FactorKernel::kBlocked);
-      EXPECT_EQ(factor_kernel(), FactorKernel::kBlocked);
+      ScopedPolicy inner(factor_kernel_policy, FactorKernel::kBlocked);
+      EXPECT_EQ(factor_kernel_policy.get(), FactorKernel::kBlocked);
     }
-    EXPECT_EQ(factor_kernel(), FactorKernel::kNaive);
+    EXPECT_EQ(factor_kernel_policy.get(), FactorKernel::kNaive);
   }
-  EXPECT_EQ(factor_kernel(), before);
+  EXPECT_EQ(factor_kernel_policy.get(), before);
 }
 
 // End-to-end policy equivalence: the sequential Algorithm 2 driver
@@ -341,7 +341,7 @@ TYPED_TEST(FactorKernelsSolverTyped, SolverEigenpairsAgreeAcrossPolicies) {
 
   std::vector<core::ChaseResult<T>> results;
   for (FactorKernel kern : kPolicies) {
-    ScopedFactorKernel scoped(kern);
+    ScopedPolicy scoped(factor_kernel_policy, kern);
     results.push_back(core::solve_sequential<T>(h.cview(), cfg));
     ASSERT_TRUE(results.back().converged) << factor_kernel_name(kern);
   }

@@ -30,8 +30,7 @@ using chase::testing::random_hermitian;
 using chase::testing::random_matrix;
 using chase::testing::tol;
 
-constexpr GemmKernel kPolicies[] = {GemmKernel::kNaive, GemmKernel::kBlocked,
-                                    GemmKernel::kMicro};
+constexpr GemmKernel kPolicies[] = {GemmKernel::kNaive, GemmKernel::kMicro};
 constexpr Op kOps[] = {Op::kNoTrans, Op::kTrans, Op::kConjTrans};
 
 template <typename T>
@@ -65,7 +64,7 @@ TYPED_TEST(GemmKernelsTyped, AllPoliciesMatchNaiveAcrossShapeSweep) {
         naive_gemm(alpha, opa, a.cview(), opb, b.cview(), beta, ref.view());
         const R t = tol<T>(R(30)) * R(std::max<Index>(k, 1));
         for (GemmKernel kern : kPolicies) {
-          ScopedGemmKernel scoped(kern);
+          ScopedPolicy scoped(gemm_kernel_policy, kern);
           auto c = clone(got.cview());
           gemm(alpha, opa, a.cview(), opb, b.cview(), beta, c.view());
           EXPECT_LE(max_abs_diff(c.cview(), ref.cview()), t)
@@ -79,7 +78,7 @@ TYPED_TEST(GemmKernelsTyped, AllPoliciesMatchNaiveAcrossShapeSweep) {
 
 TYPED_TEST(GemmKernelsTyped, MicroBetaZeroOverwritesNaN) {
   using T = TypeParam;
-  ScopedGemmKernel scoped(GemmKernel::kMicro);
+  ScopedPolicy scoped(gemm_kernel_policy, GemmKernel::kMicro);
   auto a = random_matrix<T>(65, 63, 1);
   auto b = random_matrix<T>(63, 65, 2);
   Matrix<T> c(65, 65), ref(65, 65);
@@ -113,11 +112,11 @@ TYPED_TEST(GemmKernelsTyped, HemmMatchesGemmOnHermitianOperand) {
       auto ref = random_matrix<T>(n, ncols, 60);
       auto got = clone(ref.cview());
       {
-        ScopedGemmKernel scoped(GemmKernel::kNaive);
+        ScopedPolicy scoped(gemm_kernel_policy, GemmKernel::kNaive);
         gemm(alpha, h.cview(), b.cview(), beta, ref.view());
       }
       for (GemmKernel kern : kPolicies) {
-        ScopedGemmKernel scoped(kern);
+        ScopedPolicy scoped(gemm_kernel_policy, kern);
         auto c = clone(got.cview());
         hemm(alpha, h.cview(), b.cview(), beta, c.view());
         EXPECT_LE(max_abs_diff(c.cview(), ref.cview()), tol<T>(R(30)) * R(n))
@@ -143,7 +142,7 @@ TYPED_TEST(GemmKernelsTyped, HemmReadsOnlyUpperTriangleUnderMicro) {
   auto b = random_matrix<T>(n, 33, 8);
   Matrix<T> c(n, 33), ref(n, 33);
   {
-    ScopedGemmKernel scoped(GemmKernel::kMicro);
+    ScopedPolicy scoped(gemm_kernel_policy, GemmKernel::kMicro);
     hemm(T(1), h.cview(), b.cview(), T(0), c.view());
   }
   naive_gemm(T(1), Op::kNoTrans, ref_h.cview(), Op::kNoTrans, b.cview(), T(0),
@@ -159,7 +158,7 @@ TYPED_TEST(GemmKernelsTyped, GramMatchesExplicitProductUnderAllPolicies) {
   naive_gemm(T(1), Op::kConjTrans, x.cview(), Op::kNoTrans, x.cview(), T(0),
              ref.view());
   for (GemmKernel kern : kPolicies) {
-    ScopedGemmKernel scoped(kern);
+    ScopedPolicy scoped(gemm_kernel_policy, kern);
     Matrix<T> c(61, 61);
     gram(x.cview(), c.view());
     EXPECT_LE(max_abs_diff(c.cview(), ref.cview()), tol<T>(R(30)) * R(137))
@@ -175,7 +174,7 @@ TYPED_TEST(GemmKernelsTyped, GramMatchesExplicitProductUnderAllPolicies) {
 
 TEST(GemmPolicy, ParseAndNames) {
   EXPECT_EQ(parse_gemm_kernel("naive"), GemmKernel::kNaive);
-  EXPECT_EQ(parse_gemm_kernel("blocked"), GemmKernel::kBlocked);
+  EXPECT_FALSE(parse_gemm_kernel("blocked").has_value());  // removed kernel
   EXPECT_EQ(parse_gemm_kernel("micro"), GemmKernel::kMicro);
   EXPECT_FALSE(parse_gemm_kernel("turbo").has_value());
   EXPECT_FALSE(parse_gemm_kernel("").has_value());
@@ -185,17 +184,17 @@ TEST(GemmPolicy, ParseAndNames) {
 }
 
 TEST(GemmPolicy, ScopedOverrideRestores) {
-  const GemmKernel before = gemm_kernel();
+  const GemmKernel before = gemm_kernel_policy.get();
   {
-    ScopedGemmKernel scoped(GemmKernel::kNaive);
-    EXPECT_EQ(gemm_kernel(), GemmKernel::kNaive);
+    ScopedPolicy scoped(gemm_kernel_policy, GemmKernel::kNaive);
+    EXPECT_EQ(gemm_kernel_policy.get(), GemmKernel::kNaive);
     {
-      ScopedGemmKernel inner(GemmKernel::kMicro);
-      EXPECT_EQ(gemm_kernel(), GemmKernel::kMicro);
+      ScopedPolicy inner(gemm_kernel_policy, GemmKernel::kMicro);
+      EXPECT_EQ(gemm_kernel_policy.get(), GemmKernel::kMicro);
     }
-    EXPECT_EQ(gemm_kernel(), GemmKernel::kNaive);
+    EXPECT_EQ(gemm_kernel_policy.get(), GemmKernel::kNaive);
   }
-  EXPECT_EQ(gemm_kernel(), before);
+  EXPECT_EQ(gemm_kernel_policy.get(), before);
 }
 
 // End-to-end policy equivalence: the sequential Algorithm 2 driver (filter +
@@ -219,7 +218,7 @@ TYPED_TEST(GemmKernelsSolverTyped, SolverEigenpairsAgreeAcrossPolicies) {
 
   std::vector<core::ChaseResult<T>> results;
   for (GemmKernel kern : kPolicies) {
-    ScopedGemmKernel scoped(kern);
+    ScopedPolicy scoped(gemm_kernel_policy, kern);
     results.push_back(core::solve_sequential<T>(h.cview(), cfg));
     ASSERT_TRUE(results.back().converged) << gemm_kernel_name(kern);
   }

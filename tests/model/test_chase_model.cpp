@@ -144,7 +144,7 @@ TEST(ModelFidelity, HierarchicalTopologyEventStreamMatches) {
   const int p = 4, degree = 10;
   const Backend backend = Backend::kNcclGpu;
   comm::ScopedTopology topo(comm::parse_topology("CHASE_TOPO", "2x8"));
-  coll::ScopedAlgorithm policy(coll::Algorithm::kHier);
+  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kHier);
 
   auto real =
       real_iteration_tracker<T>(n, nev, nex, p, degree, backend, false);

@@ -25,7 +25,7 @@ using la::Index;
 
 TEST(MachineCalibration, GemmRateComesFromTrackedCounters) {
   using T = double;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
+  ScopedPolicy scoped(la::gemm_kernel_policy, la::GemmKernel::kMicro);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 256;
@@ -73,7 +73,7 @@ TEST(MachineCalibration, TinySamplesAreIgnored) {
 
 TEST(MachineCalibration, HemmCallsFeedTheSameCounters) {
   using T = std::complex<double>;
-  la::ScopedGemmKernel scoped(la::GemmKernel::kMicro);
+  ScopedPolicy scoped(la::gemm_kernel_policy, la::GemmKernel::kMicro);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 192;
@@ -91,7 +91,7 @@ TEST(MachineCalibration, HemmCallsFeedTheSameCounters) {
 
 TEST(MachineCalibration, FactorRatePoolsAllFiveFamilies) {
   using T = double;
-  la::ScopedFactorKernel scoped(la::FactorKernel::kBlocked);
+  ScopedPolicy scoped(la::factor_kernel_policy, la::FactorKernel::kBlocked);
   Tracker t;
   set_thread_tracker(&t);
   const Index n = 160;

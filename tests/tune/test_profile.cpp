@@ -162,6 +162,35 @@ TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
   }
 }
 
+TEST_F(ProfileTest, RetiredBlockedGemmKernelLoadsUntuned) {
+  // Profiles written before the `blocked` GEMM kernel was removed still
+  // load: those entries stay untuned (built-in default), while `blocked`
+  // remains a live factor kernel.
+  const auto p = decode_profile(
+      R"({"schema": "chase.machine_profile", "version": 1,
+          "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
+          "measurements": [{"name": "gemm.d.n96.blocked", "value": 9e9,
+                            "unit": "flop/s"}],
+          "tables": {"gemm_kernel": [
+                       {"type": "d", "nclass": "small", "kernel": "blocked"},
+                       {"type": "d", "nclass": "large", "kernel": "micro"}],
+                     "factor_kernel": [
+                       {"nclass": "small", "kernel": "blocked"}],
+                     "chunk_bytes": 0,
+                     "rates": {}}})");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
+                                 [int(perf::NClass::kSmall)],
+            -1);
+  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
+                                 [int(perf::NClass::kLarge)],
+            int(la::GemmKernel::kMicro));
+  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)],
+            int(la::FactorKernel::kBlocked));
+  ASSERT_EQ(p->measurements.size(), 1u);
+  EXPECT_EQ(p->measurements[0].name, "gemm.d.n96.blocked");
+}
+
 TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
   MachineProfile p = sample_profile();
   p.fingerprint.host = "somewhere-else";
@@ -225,6 +254,25 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
                          [int(perf::NClass::kMedium)],
             -1);
   EXPECT_EQ(t.factor_kernel[int(perf::NClass::kLarge)], -1);
+}
+
+TEST(DeriveSelections, ReplayIgnoresRetiredBlockedGemmRows) {
+  // An old measurement log where `blocked` GEMM rows win: replay skips
+  // them (including for the model rate) and keeps the best live kernel.
+  std::vector<RawMeasurement> log = {
+      {"gemm.d.n96.naive", 1e9, "flop/s"},
+      {"gemm.d.n96.blocked", 9e9, "flop/s"},
+      {"gemm.d.n96.micro", 4e9, "flop/s"},
+      {"gemm.d.n700.blocked", 9e9, "flop/s"},
+  };
+  const perf::TunedTables t = derive_selections(log);
+  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
+                         [int(perf::NClass::kSmall)],
+            int(la::GemmKernel::kMicro));
+  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
+                         [int(perf::NClass::kLarge)],
+            -1);
+  EXPECT_EQ(t.gemm_flops, 4e9);
 }
 
 TEST(DeriveSelections, FirstMeasuredWinsTies) {

@@ -44,7 +44,7 @@ MachineProfile contrarian_profile() {
   p.fingerprint = local_fingerprint();
   for (int t = 0; t < perf::kScalarTagCount; ++t) {
     for (int c = 0; c < perf::kNClassCount; ++c) {
-      p.tables.gemm_kernel[t][c] = int(la::GemmKernel::kBlocked);
+      p.tables.gemm_kernel[t][c] = int(la::GemmKernel::kNaive);
     }
   }
   for (int c = 0; c < perf::kNClassCount; ++c) {
@@ -60,31 +60,31 @@ MachineProfile contrarian_profile() {
 }
 
 TEST_F(RuntimeTest, GemmPrecedenceOverrideProfileDefault) {
-  const la::GemmKernel fallback = la::gemm_kernel();
+  const la::GemmKernel fallback = la::gemm_kernel_policy.get();
   const auto probe = [] {
     return la::gemm_kernel_for(perf::ScalarTag::kF64, 300, 300, 300);
   };
   EXPECT_EQ(probe(), fallback);
 
   ASSERT_TRUE(install_profile(contrarian_profile()));
-  EXPECT_EQ(probe(), la::GemmKernel::kBlocked);
+  EXPECT_EQ(probe(), la::GemmKernel::kNaive);
   {
-    la::ScopedGemmKernel pin(la::GemmKernel::kMicro);
+    ScopedPolicy pin(la::gemm_kernel_policy, la::GemmKernel::kMicro);
     EXPECT_EQ(probe(), la::GemmKernel::kMicro);  // override beats profile
   }
-  EXPECT_EQ(probe(), la::GemmKernel::kBlocked);  // guard restored "none"
+  EXPECT_EQ(probe(), la::GemmKernel::kNaive);  // guard restored "none"
 
   uninstall_profile();
   EXPECT_EQ(probe(), fallback);
 }
 
 TEST_F(RuntimeTest, FactorPrecedenceOverrideProfileDefault) {
-  const la::FactorKernel fallback = la::factor_kernel();
+  const la::FactorKernel fallback = la::factor_kernel_policy.get();
   EXPECT_EQ(la::factor_kernel_for(256), fallback);
   ASSERT_TRUE(install_profile(contrarian_profile()));
   EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kNaive);
   {
-    la::ScopedFactorKernel pin(la::FactorKernel::kBlocked);
+    ScopedPolicy pin(la::factor_kernel_policy, la::FactorKernel::kBlocked);
     EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kBlocked);
   }
   EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kNaive);
@@ -99,7 +99,7 @@ TEST_F(RuntimeTest, CollPrecedenceOverrideProfileDefault) {
   EXPECT_EQ(coll::algorithm_for(perf::CollKind::kAllReduce, 4096),
             coll::Algorithm::kTree);
   {
-    coll::ScopedAlgorithm pin(coll::Algorithm::kRing);
+    ScopedPolicy pin(coll::algorithm_policy, coll::Algorithm::kRing);
     EXPECT_EQ(coll::algorithm_for(perf::CollKind::kAllReduce, 4096),
               coll::Algorithm::kRing);
   }
@@ -114,7 +114,7 @@ TEST_F(RuntimeTest, ChunkPrecedenceOverrideProfileDefault) {
   ASSERT_TRUE(install_profile(contrarian_profile()));
   EXPECT_EQ(coll::chunk_bytes(), std::size_t(128) << 10);
   {
-    coll::ScopedChunkBytes pin(std::size_t(32) << 10);
+    ScopedPolicy pin(coll::chunk_bytes_policy, std::size_t(32) << 10);
     EXPECT_EQ(coll::chunk_bytes(), std::size_t(32) << 10);
   }
   EXPECT_EQ(coll::chunk_bytes(), std::size_t(128) << 10);
@@ -137,7 +137,7 @@ TEST_F(RuntimeTest, ProvenanceCountersNameTheSource) {
   EXPECT_EQ(tracker.counter("tune.source.default"), 4.0);
 
   {
-    la::ScopedGemmKernel pin(la::GemmKernel::kMicro);
+    ScopedPolicy pin(la::gemm_kernel_policy, la::GemmKernel::kMicro);
     record_provenance();  // gemm pinned, the other three still profiled
   }
   EXPECT_EQ(tracker.counter("tune.source.env"), 1.0);
@@ -181,7 +181,7 @@ TEST_F(RuntimeTest, RejectedProfileFallsBackToDefaultsAndCounts) {
 }
 
 TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
-  // Stored tables say blocked everywhere; the measurement log says micro
+  // Stored tables say naive everywhere; the measurement log says micro
   // wins small-double GEMM. Replay must trust the log, not the tables.
   MachineProfile p = contrarian_profile();
   p.measurements.push_back({"gemm.d.n96.naive", 1e9, "flop/s"});
@@ -215,8 +215,9 @@ TEST_F(RuntimeTest, ProfileLessSolveMatchesPinnedDefaultsBitwise) {
 
   core::ChaseResult<double> pinned;
   {
-    la::ScopedGemmKernel gemm_pin(la::gemm_kernel());
-    la::ScopedFactorKernel factor_pin(la::factor_kernel());
+    ScopedPolicy gemm_pin(la::gemm_kernel_policy, la::gemm_kernel_policy.get());
+    ScopedPolicy factor_pin(la::factor_kernel_policy,
+                            la::factor_kernel_policy.get());
     pinned = core::solve_sequential<double>(h.view(), cfg);
   }
   ASSERT_TRUE(pinned.converged);

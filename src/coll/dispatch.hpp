@@ -3,14 +3,17 @@
 // (which owns the class definition and the naive publish-and-sync bodies);
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
-// hooks either way.
+// hooks either way. Every call selects its routine afresh (coll::select);
+// the Routine -> algorithm mapping of each collective kind is written once
+// below and shared by the blocking and nonblocking entry points.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
 #error "coll/dispatch.hpp is glue for comm/communicator.hpp; include that"
 #endif
 
-#include <sstream>
+#include <memory>
+#include <vector>
 
 #include "coll/algorithms.hpp"
 #include "coll/engine.hpp"
@@ -22,6 +25,82 @@ namespace detail {
 
 inline Index coll_chunk_elems(std::size_t elem_size) {
   return std::max<Index>(1, Index(coll::chunk_bytes() / elem_size));
+}
+
+/// Receive offsets of an equal-count allgather: block r at r * count.
+inline std::vector<Index> uniform_displs(int nranks, Index count) {
+  std::vector<Index> displs((std::size_t(nranks)));
+  for (int i = 0; i < nranks; ++i) displs[std::size_t(i)] = Index(i) * count;
+  return displs;
+}
+
+/// Tracker events of one channel routine: one event per phase of a
+/// hierarchical routine, attributed to the communicator each phase ran over,
+/// and a single event otherwise. `bracketed` closes the begin_collective()
+/// bracket a blocking caller opened.
+inline void account_routine(const Communicator& comm, perf::CollKind kind,
+                            coll::Routine r, std::size_t bytes,
+                            bool bracketed) {
+  perf::Tracker* t = perf::thread_tracker();
+  if (t == nullptr) return;
+  coll::account_phases(
+      t, comm.backend(),
+      coll::is_hierarchical(r)
+          ? coll::hier_phases(kind, bytes, comm.size(), comm.topo_info())
+          : std::vector<coll::CollPhase>{{kind, bytes, comm.size()}},
+      bracketed);
+}
+
+// ---- Routine -> channel algorithm, one mapping per collective kind ----
+
+template <typename T>
+std::unique_ptr<coll::CollOp> all_reduce_op(const Communicator& comm,
+                                            coll::Routine r, T* data,
+                                            Index count, Reduction op,
+                                            std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  switch (r) {
+    case coll::Routine::kHierAllReduce:
+      return std::make_unique<coll::HierAllReduce<Communicator, T>>(
+          comm, data, count, op, ce, seq);
+    case coll::Routine::kRingAllReduce:
+      return std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
+          comm, data, count, op, ce, seq);
+    default:  // kRabenseifnerAllReduce
+      return std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
+          comm, data, count, op, ce, seq);
+  }
+}
+
+template <typename T>
+std::unique_ptr<coll::CollOp> broadcast_op(const Communicator& comm,
+                                           coll::Routine r, T* data,
+                                           Index count, int root,
+                                           std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  if (r == coll::Routine::kHierBroadcast) {
+    return std::make_unique<coll::HierBroadcast<Communicator, T>>(
+        comm, data, count, root, ce, seq);
+  }
+  return std::make_unique<coll::BinomialBroadcast<Communicator, T>>(
+      comm, data, count, root, ce, seq);
+}
+
+/// Flat equal-count allgather routines (the hierarchical one is a blocking
+/// composite over sub-communicators, not a single CollOp).
+template <typename T>
+std::unique_ptr<coll::CollOp> all_gather_op(const Communicator& comm,
+                                            coll::Routine r, const T* send,
+                                            Index count, T* recv,
+                                            std::uint64_t seq) {
+  const Index ce = coll_chunk_elems(sizeof(T));
+  if (r == coll::Routine::kBruckAllGather) {
+    return std::make_unique<coll::BruckAllGather<Communicator, T>>(
+        comm, send, recv, count, ce, seq);
+  }
+  return std::make_unique<coll::RingAllGather<Communicator, T>>(
+      comm, send, recv, std::vector<Index>(std::size_t(comm.size()), count),
+      uniform_displs(comm.size(), count), ce, seq);
 }
 
 }  // namespace detail
@@ -42,34 +121,10 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
   fault::check("rank.die");
   account_begin();
   const std::uint64_t seq = next_collective_seq();
-  if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kHierAllReduce) {
-      coll::HierAllReduce<Communicator, T> alg(*this, data, count, op, ce,
-                                               seq);
-      alg.wait();
-    } else if (r == coll::Routine::kRingAllReduce) {
-      coll::OrderedRingAllReduce<Communicator, T> alg(*this, data, count, op,
-                                                      ce, seq);
-      alg.wait();
-    } else {
-      coll::RabenseifnerAllReduce<Communicator, T> alg(*this, data, count, op,
-                                                       ce, seq);
-      alg.wait();
-    }
-  }
+  if (count > 0) detail::all_reduce_op(*this, r, data, count, op, seq)->wait();
   detail::corrupt_reduced(data, count);
-  if (r == coll::Routine::kHierAllReduce) {
-    // Multi-phase routine: one Tracker event per phase, attributed to the
-    // communicator each phase actually ran over.
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllReduce, bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-  } else {
-    account_end(perf::CollKind::kAllReduce, bytes, bytes);
-  }
+  detail::account_routine(*this, perf::CollKind::kAllReduce, r, bytes,
+                          /*bracketed=*/true);
 }
 
 template <typename T>
@@ -86,27 +141,9 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   fault::check("rank.die");
   account_begin();
   const std::uint64_t seq = next_collective_seq();
-  if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kHierBroadcast) {
-      coll::HierBroadcast<Communicator, T> alg(*this, data, count, root, ce,
-                                               seq);
-      alg.wait();
-    } else {
-      coll::BinomialBroadcast<Communicator, T> alg(*this, data, count, root,
-                                                   ce, seq);
-      alg.wait();
-    }
-  }
-  if (r == coll::Routine::kHierBroadcast) {
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kBroadcast, bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-  } else {
-    account_end(perf::CollKind::kBroadcast, bytes, bytes);
-  }
+  if (count > 0) detail::broadcast_op(*this, r, data, count, root, seq)->wait();
+  detail::account_routine(*this, perf::CollKind::kBroadcast, r, bytes,
+                          /*bracketed=*/true);
 }
 
 template <typename T>
@@ -127,40 +164,21 @@ void Communicator::all_gather(const T* send, Index count, T* recv) const {
     const auto& group = hier_group();
     account_begin();
     if (count > 0) {
-      std::vector<Index> counts(std::size_t(size()), count);
-      std::vector<Index> displs(counts.size());
-      for (int i = 0; i < size(); ++i) {
-        displs[std::size_t(i)] = Index(i) * count;
-      }
-      coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
-                              detail::coll_chunk_elems(sizeof(T)));
+      coll::hier_all_gather_v(
+          *this, group, send, recv,
+          std::vector<Index>(std::size_t(size()), count),
+          detail::uniform_displs(size(), count),
+          detail::coll_chunk_elems(sizeof(T)));
     }
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllGather, total_bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
-    return;
-  }
-  account_begin();
-  const std::uint64_t seq = next_collective_seq();
-  if (count > 0) {
-    const Index ce = detail::coll_chunk_elems(sizeof(T));
-    if (r == coll::Routine::kBruckAllGather) {
-      coll::BruckAllGather<Communicator, T> alg(*this, send, recv, count, ce,
-                                                seq);
-      alg.wait();
-    } else {
-      std::vector<Index> counts(std::size_t(size()), count);
-      std::vector<Index> displs(counts.size());
-      for (int i = 0; i < size(); ++i) displs[std::size_t(i)] = Index(i) * count;
-      coll::RingAllGather<Communicator, T> alg(*this, send, recv,
-                                               std::move(counts),
-                                               std::move(displs), ce, seq);
-      alg.wait();
+  } else {
+    account_begin();
+    const std::uint64_t seq = next_collective_seq();
+    if (count > 0) {
+      detail::all_gather_op(*this, r, send, count, recv, seq)->wait();
     }
   }
-  account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
+  detail::account_routine(*this, perf::CollKind::kAllGather, r, total_bytes,
+                          /*bracketed=*/true);
 }
 
 template <typename T>
@@ -192,11 +210,8 @@ void Communicator::all_gather_v(const T* send, Index count, T* recv,
     account_begin();
     coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
                             detail::coll_chunk_elems(sizeof(T)));
-    coll::account_phases(
-        perf::thread_tracker(), backend_,
-        coll::hier_phases(perf::CollKind::kAllGather, total_bytes, size(),
-                          topo_info()),
-        /*bracketed=*/true);
+    detail::account_routine(*this, perf::CollKind::kAllGather, r, total_bytes,
+                            /*bracketed=*/true);
     return;
   }
   account_begin();
@@ -225,71 +240,12 @@ coll::CollRequest Communicator::i_all_reduce(T* data, Index count,
     return {};
   }
   fault::check("rank.die");
-  const std::uint64_t seq = next_collective_seq();
-  const Index ce = detail::coll_chunk_elems(sizeof(T));
-  std::unique_ptr<coll::CollOp> alg;
-  if (r == coll::Routine::kHierAllReduce) {
-    alg = std::make_unique<coll::HierAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  } else if (r == coll::Routine::kRingAllReduce) {
-    alg = std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  } else {
-    alg = std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
-        *this, data, count, op, ce, seq);
-  }
-  const bool hier = r == coll::Routine::kHierAllReduce;
-  auto on_done = [this, data, count, bytes, hier] {
+  auto alg =
+      detail::all_reduce_op(*this, r, data, count, op, next_collective_seq());
+  auto on_done = [this, data, count, r, bytes] {
     detail::corrupt_reduced(data, count);
-    if (hier) {
-      coll::account_phases(
-          perf::thread_tracker(), backend_,
-          coll::hier_phases(perf::CollKind::kAllReduce, bytes, size(),
-                            topo_info()),
-          /*bracketed=*/false);
-    } else {
-      account_async(perf::CollKind::kAllReduce, bytes, bytes);
-    }
-  };
-  return coll::CollRequest(
-      std::make_unique<coll::WithCompletion<decltype(on_done)>>(
-          std::move(alg), std::move(on_done)));
-}
-
-template <typename T>
-coll::CollRequest Communicator::i_all_gather(const T* send, Index count,
-                                             T* recv) const {
-  const std::size_t local_bytes = std::size_t(std::max<Index>(count, 0)) *
-                                  sizeof(T);
-  const std::size_t total_bytes = std::size_t(size()) * local_bytes;
-  // Flat selection on purpose: the hierarchical allgather is a blocking
-  // composite over sub-communicators, not a single poll-driven CollOp, so
-  // the nonblocking path keeps the flat candidates.
-  const coll::Routine r =
-      size() == 1 || count <= 0
-          ? coll::Routine::kNaive
-          : coll::select(perf::CollKind::kAllGather, total_bytes, size(),
-                         backend_);
-  if (r == coll::Routine::kNaive) {
-    all_gather(send, count, recv);
-    return {};
-  }
-  fault::check("rank.die");
-  const std::uint64_t seq = next_collective_seq();
-  const Index ce = detail::coll_chunk_elems(sizeof(T));
-  std::unique_ptr<coll::CollOp> alg;
-  if (r == coll::Routine::kBruckAllGather) {
-    alg = std::make_unique<coll::BruckAllGather<Communicator, T>>(
-        *this, send, recv, count, ce, seq);
-  } else {
-    std::vector<Index> counts(std::size_t(size()), count);
-    std::vector<Index> displs(counts.size());
-    for (int i = 0; i < size(); ++i) displs[std::size_t(i)] = Index(i) * count;
-    alg = std::make_unique<coll::RingAllGather<Communicator, T>>(
-        *this, send, recv, std::move(counts), std::move(displs), ce, seq);
-  }
-  auto on_done = [this, total_bytes, local_bytes] {
-    account_async(perf::CollKind::kAllGather, total_bytes, local_bytes);
+    detail::account_routine(*this, perf::CollKind::kAllReduce, r, bytes,
+                            /*bracketed=*/false);
   };
   return coll::CollRequest(
       std::make_unique<coll::WithCompletion<decltype(on_done)>>(

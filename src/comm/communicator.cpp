@@ -430,19 +430,6 @@ void Communicator::account_end(perf::CollKind kind, std::size_t bytes,
   }
 }
 
-void Communicator::account_async(perf::CollKind kind, std::size_t bytes,
-                                 std::size_t local_bytes) const {
-  auto* t = perf::thread_tracker();
-  if (t == nullptr) return;
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(local_bytes, /*to_device=*/false);
-  }
-  t->record_collective(kind, bytes, size());
-  if (backend_ == Backend::kStdGpu) {
-    t->record_memcpy(bytes, /*to_device=*/true);
-  }
-}
-
 Communicator Communicator::split(int color, int key) const {
   fault::check("rank.die");
   if (size() == 1) {

@@ -14,8 +14,8 @@
 //    binomial over chunked point-to-point channels, see chunk_channel.hpp),
 //    standing in for NCCL's pipelined algorithms. The CHASE_COLL_ALGO policy
 //    (coll/engine.hpp) picks per call; every algorithm is bitwise-identical
-//    to the naive reference. Nonblocking i_all_reduce / i_all_gather return
-//    a coll::CollRequest so callers can overlap communication with compute.
+//    to the naive reference. The nonblocking i_all_reduce returns a
+//    coll::CollRequest so callers can overlap communication with compute.
 //
 // The Backend tag reproduces the paper's three communication variants:
 //  - kHostMpi: buffers live on the host, plain MPI collectives
@@ -204,10 +204,6 @@ class Communicator {
   coll::CollRequest i_all_reduce(T* data, Index count,
                                  Reduction op = Reduction::kSum) const;
 
-  /// Nonblocking equal-count allgather; same contract as i_all_reduce.
-  template <typename T>
-  coll::CollRequest i_all_gather(const T* send, Index count, T* recv) const;
-
   /// Collective: partitions ranks by color; ranks sharing a color form a new
   /// communicator ordered by (key, old rank). Every rank must call.
   Communicator split(int color, int key) const;
@@ -310,12 +306,6 @@ class Communicator {
   void account_begin() const;
   void account_end(perf::CollKind kind, std::size_t bytes,
                    std::size_t local_bytes) const;
-  /// Completion-time accounting for nonblocking collectives: records the
-  /// CollectiveEvent (and STD staging copies) without the begin/end CPU-time
-  /// bracket — overlapped progress time deliberately stays in the compute
-  /// bucket.
-  void account_async(perf::CollKind kind, std::size_t bytes,
-                     std::size_t local_bytes) const;
 
   /// Topology emulation for the naive transport: reading `bytes` from a
   /// peer on another node pays the same cross-node link delay send_chunk

@@ -18,10 +18,11 @@
 // Communication/compute overlap (the v1.4 scheme): under
 // CHASE_COLL_ALGO=auto every apply_c2b/apply_b2c below splits its HEMM into
 // column blocks and overlaps the nonblocking allreduce of block k with the
-// multiply of block k+1 (dist_matrix.hpp apply_impl, i_all_reduce of
-// src/coll). The result is bitwise-identical to the blocking path, so the
-// filter needs no changes — the per-apply "coll.overlap.blocks" counter
-// records how often the pipeline engaged.
+// multiply of block k+1 (dist_matrix.hpp apply_impl). Every reduction, the
+// blocking one of the plain path and each block's i_all_reduce, selects its
+// routine per call in src/coll. The result is bitwise-identical to the
+// blocking path, so the filter needs no changes — the per-apply
+// "coll.overlap.blocks" counter records how often the pipeline engaged.
 //
 // The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
 // engine (src/la/gemm.hpp): diagonal ranks of the grid hold a Hermitian

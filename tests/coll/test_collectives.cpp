@@ -11,6 +11,7 @@
 
 #include <complex>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "common/rng.hpp"
 #include "dist/dist_matrix.hpp"
 #include "perf/tracker.hpp"
+#include "perf/tuned.hpp"
 
 namespace chase {
 namespace {
@@ -264,26 +266,22 @@ TEST(CollNonblocking, OutstandingRequestsCompleteBitwise) {
     const Index count = 257;
     const auto want_a = reference_allreduce<double>(p, count, Reduction::kSum, 1);
     const auto want_b = reference_allreduce<double>(p, count, Reduction::kSum, 2);
+    const auto want_c = reference_allreduce<double>(p, count, Reduction::kSum, 3);
     Team team(p);
     team.run([&](Communicator& comm) {
       std::vector<double> a = rank_payload<double>(comm.rank(), count, 1);
       std::vector<double> b = rank_payload<double>(comm.rank(), count, 2);
-      std::vector<double> gsend = rank_payload<double>(comm.rank(), count, 3);
-      std::vector<double> gathered(std::size_t(p) * std::size_t(count));
+      std::vector<double> c = rank_payload<double>(comm.rank(), count, 3);
       // Three outstanding requests, completed out of issue order.
       auto ra = comm.i_all_reduce(a.data(), count);
       auto rb = comm.i_all_reduce(b.data(), count);
-      auto rg = comm.i_all_gather(gsend.data(), count, gathered.data());
+      auto rc = comm.i_all_reduce(c.data(), count);
       while (!rb.test()) std::this_thread::yield();
-      rg.wait();
+      rc.wait();
       ra.wait();
       EXPECT_TRUE(bitwise_equal(a, want_a)) << coll::algorithm_name(algo);
       EXPECT_TRUE(bitwise_equal(b, want_b)) << coll::algorithm_name(algo);
-      for (int r = 0; r < p; ++r) {
-        const auto x = rank_payload<double>(r, count, 3);
-        EXPECT_EQ(0, std::memcmp(gathered.data() + Index(r) * count, x.data(),
-                                 std::size_t(count) * sizeof(double)));
-      }
+      EXPECT_TRUE(bitwise_equal(c, want_c)) << coll::algorithm_name(algo);
     });
   }
 }
@@ -339,6 +337,73 @@ TEST(CollIntegration, DistApplyBitwiseAcrossPoliciesAndOverlapEngages) {
   }
   // The auto policy must actually have run the overlap pipeline.
   EXPECT_GT(overlap_blocks, 0.0);
+}
+
+/// Tuned tables that map every allreduce size class to `algo`.
+perf::TunedTables allreduce_tables(coll::Algorithm algo) {
+  perf::TunedTables t;
+  for (int& a : t.coll_algo[int(perf::CollKind::kAllReduce)]) a = int(algo);
+  return t;
+}
+
+// A matrix applied again after the installed tables changed must run the
+// newly selected routine, not the one its previous apply used: every
+// reduction selects its routine per call. chunk_bytes stays unset in both
+// tables, so nothing but the table entry changes between the two applies.
+TEST(CollIntegration, DistApplyFollowsTunedTableSwitch) {
+  struct ClearTables {
+    ~ClearTables() { perf::clear_tuned_tables(); }
+  } clear_tables;
+  const Index n = 70;
+  const Index ncols = 9;
+  auto element = [](Index i, Index j) {
+    return 1.0 / double(1 + std::abs(int(i - j)));
+  };
+  const int p = 4;
+  std::vector<perf::Tracker> trackers((std::size_t(p)));
+  Team team(p);
+  team.run(
+      [&](Communicator& comm) {
+        comm::Grid2d grid(comm, 2, 2);
+        dist::IndexMap rmap = dist::IndexMap::block(n, grid.nprow());
+        dist::IndexMap cmap = dist::IndexMap::block(n, grid.npcol());
+        dist::DistHermitianMatrix<double> h(grid, rmap, cmap);
+        h.fill(element);
+        const Index xr = rmap.local_size(grid.my_row());
+        const Index yr = cmap.local_size(grid.my_col());
+        la::Matrix<double> x(xr, ncols), y_tree(yr, ncols), y_ring(yr, ncols);
+        for (Index j = 0; j < ncols; ++j) {
+          for (Index i = 0; i < xr; ++i) x(i, j) = element(i + 13 * j, j + 1);
+        }
+        const auto install = [&](coll::Algorithm algo) {
+          comm.barrier();
+          if (comm.rank() == 0) perf::set_tuned_tables(allreduce_tables(algo));
+          comm.barrier();
+        };
+        const auto calls = [](const char* routine) {
+          return perf::thread_tracker()->counter(std::string("coll.") +
+                                                 routine + ".calls");
+        };
+
+        install(coll::Algorithm::kTree);
+        h.apply_c2b(1.0, x.view().as_const(), 0.0, y_tree.view());
+        EXPECT_EQ(calls("rabenseifner_allreduce"), 1.0)
+            << "rank " << comm.rank();
+
+        install(coll::Algorithm::kRing);
+        const double ring_before = calls("ring_allreduce");
+        const double rab_before = calls("rabenseifner_allreduce");
+        h.apply_c2b(1.0, x.view().as_const(), 0.0, y_ring.view());
+        EXPECT_EQ(calls("ring_allreduce") - ring_before, 1.0)
+            << "rank " << comm.rank();
+        EXPECT_EQ(calls("rabenseifner_allreduce") - rab_before, 0.0)
+            << "rank " << comm.rank();
+        EXPECT_EQ(0, std::memcmp(y_tree.data(), y_ring.data(),
+                                 std::size_t(yr) * std::size_t(ncols) *
+                                     sizeof(double)))
+            << "rank " << comm.rank();
+      },
+      &trackers);
 }
 
 TEST(CollFault, P2pCorruptPropagatesNaN) {
@@ -409,9 +474,8 @@ TEST(CollStress, ConcurrentTeams) {
           std::vector<double> x(std::size_t(count),
                                 double(comm.rank() + iter));
           comm.all_reduce(x.data(), count);
-          std::vector<double> g(std::size_t(comm.size()) *
-                                std::size_t(count));
-          auto req = comm.i_all_gather(x.data(), count, g.data());
+          std::vector<double> s(x);
+          auto req = comm.i_all_reduce(s.data(), count);
           std::vector<double> b((std::size_t(count)), double(iter));
           comm.broadcast(b.data(), count, iter % comm.size());
           req.wait();

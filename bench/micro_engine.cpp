@@ -12,7 +12,6 @@
 //
 // Also prints the per-stage timing table (perf/stage_report.hpp) of one
 // instrumented staged run — the paper's time-per-stage view.
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -40,23 +39,16 @@ struct Case {
   long workspace_allocs = 0;  // summed over all recorded iterations
 };
 
-/// Best-of-N wall time of one full solve on a fresh operator each repeat
-/// (the filter restores its diagonal shifts, but independence is cheaper
-/// than an argument). Returns rank-0 time; the ranks run in lock step.
-template <typename T, typename Solver>
+/// Best-of-N wall time of one full solve, barrier to barrier (the filter
+/// restores its diagonal shifts, so repeats reuse the operator). Returns
+/// this rank's time; the ranks run in lock step.
+template <typename Solver>
 double best_of(int reps, comm::Communicator& world, Solver&& run_once) {
-  double best = 1e99;
-  for (int r = 0; r < reps; ++r) {
-    world.barrier();
-    const auto t0 = std::chrono::steady_clock::now();
-    run_once();
-    world.barrier();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (s < best) best = s;
-  }
-  return best;
+  return bench::measure(0, reps, [&] {
+           world.barrier();
+           run_once();
+           world.barrier();
+         }).best;
 }
 
 template <typename T>
@@ -86,11 +78,11 @@ Case run_case(const std::string& scheme, int nprow, int npcol, Index n,
         long allocs = 0;
         for (const auto& s : probe.stats) allocs += s.workspace_allocs;
 
-        const double staged = best_of<T>(reps, world, [&] {
+        const double staged = best_of(reps, world, [&] {
           auto r = lms ? core::solve_lms(hd, cfg) : core::solve(hd, cfg);
           (void)r;
         });
-        const double seed = best_of<T>(reps, world, [&] {
+        const double seed = best_of(reps, world, [&] {
           auto r =
               lms ? seeddrv::solve_lms(hd, cfg) : seeddrv::solve(hd, cfg);
           (void)r;

@@ -14,7 +14,6 @@
 //   * CHASE_PRECISION=double solves must stay bitwise identical across an
 //     intervening mixed solve — the policy must not leak state;
 //   * the mixed solve's eigenvalues must match the fp64 solve's.
-#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdio>
@@ -34,19 +33,6 @@ namespace {
 
 using namespace chase;
 using la::Index;
-
-double wall_seconds(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-double best_of(int reps, const std::function<void()>& fn) {
-  double best = 1e99;
-  for (int r = 0; r < reps; ++r) best = std::min(best, wall_seconds(fn));
-  return best;
-}
 
 /// Sequential (1x1 grid) operator + panel for filter timing.
 template <typename T>
@@ -100,18 +86,19 @@ void bench_filter_speedup(MixedResult& out, Index n, Index ncols, int degree,
   la::demote<T>(src.h.local().as_const(), h32.local());
   la::Matrix<L> c32(n, ncols), b32(n, ncols);
 
-  out.fp64_seconds = best_of(reps, [&] {
-    f64.reset_panel();
-    core::chebyshev_filter(f64.h, f64.c.view(), f64.b.view(), f64.degs, 0.5,
-                           0.45, -0.99);
-  });
-  out.fp32_seconds = best_of(reps, [&] {
-    src.reset_panel();
-    la::demote<T>(src.c.cview(), c32.view());
-    core::chebyshev_filter(h32, c32.view(), b32.view(), src.degs, 0.5f, 0.45f,
-                           -0.99f);
-    la::promote<T>(c32.cview(), src.c.view());
-  });
+  out.fp64_seconds = bench::measure(0, reps, [&] {
+                       f64.reset_panel();
+                       core::chebyshev_filter(f64.h, f64.c.view(),
+                                              f64.b.view(), f64.degs, 0.5,
+                                              0.45, -0.99);
+                     }).best;
+  out.fp32_seconds = bench::measure(0, reps, [&] {
+                       src.reset_panel();
+                       la::demote<T>(src.c.cview(), c32.view());
+                       core::chebyshev_filter(h32, c32.view(), b32.view(),
+                                              src.degs, 0.5f, 0.45f, -0.99f);
+                       la::promote<T>(c32.cview(), src.c.view());
+                     }).best;
   out.n = n;
   out.cols = ncols;
   out.degree = degree;
@@ -233,11 +220,12 @@ void print_degree_ablation(bool quick) {
     for (int degree : {10, 20, 36}) {
       SeqFilter<T> f(n, ncols, degree, 5);
       long matvecs = 0;
-      const double s = wall_seconds([&] {
-        f.reset_panel();
-        matvecs = core::chebyshev_filter(f.h, f.c.view(), f.b.view(), f.degs,
-                                         0.5, 0.45, -0.99);
-      });
+      const double s = bench::measure(0, 1, [&] {
+                         f.reset_panel();
+                         matvecs = core::chebyshev_filter(
+                             f.h, f.c.view(), f.b.view(), f.degs, 0.5, 0.45,
+                             -0.99);
+                       }).best;
       std::printf("  cols=%-3ld deg=%-3d %8.4fs  %10.0f MatVec/s\n",
                   long(ncols), degree, s, double(matvecs) / s);
     }

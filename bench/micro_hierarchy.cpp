@@ -119,7 +119,6 @@ bool bitwise_vs_naive(Index count) {
 
 /// auto's pick agrees with the per-link cost model across payload decades.
 bool auto_matches_model(const chase::perf::TopoInfo& topo) {
-  using chase::coll::Routine;
   using chase::perf::CollAlgo;
   chase::ScopedPolicy policy(chase::coll::algorithm_policy,
                              chase::coll::Algorithm::kAuto);
@@ -139,15 +138,15 @@ bool auto_matches_model(const chase::perf::TopoInfo& topo) {
                                 m, backend, chase::perf::CollKind::kAllReduce,
                                 a, bytes, kRanks, chunk, topo));
     }
-    const Routine chosen =
+    const bool auto_picks_hier =
         chase::coll::select(chase::perf::CollKind::kAllReduce, bytes, kRanks,
-                            backend, topo);
+                            backend, topo) == CollAlgo::kHierAlgo;
     const bool model_says_hier = hier < flat;
-    if (chase::coll::is_hierarchical(chosen) != model_says_hier) {
+    if (auto_picks_hier != model_says_hier) {
       std::printf("  auto mismatch at %zu bytes: model says %s, auto picked "
                   "%s\n",
                   bytes, model_says_hier ? "hier" : "flat",
-                  std::string(chase::coll::routine_name(chosen)).c_str());
+                  auto_picks_hier ? "hier" : "flat");
       ok = false;
     }
   }

@@ -1,10 +1,16 @@
 // Chunk-pipelined collective algorithms over the point-to-point channels.
 //
-// Every algorithm is a CollOp state machine templated on the communicator
-// type (so this header never needs comm/communicator.hpp — the dispatch
-// glue in coll/dispatch.hpp instantiates them with comm::Communicator). The
-// required Comm surface: rank(), size(), send_chunk(), try_recv_chunk(),
-// inbox_arrivals(), wait_new_arrival().
+// Every algorithm is a ChannelOp: a poll-driven state machine whose
+// progress() advances as far as the already-arrived chunks allow, run to
+// completion by wait() in the call that issued the collective. Completion
+// is purely local — every expected chunk received and every outgoing chunk
+// pushed — so a finished rank never needs to keep progressing on behalf of
+// its peers, and nothing here relies on a send never blocking. The state
+// machines are templated on the communicator type (so this header never
+// needs comm/communicator.hpp — the dispatch glue in coll/dispatch.hpp
+// instantiates them with comm::Communicator). The required Comm surface:
+// rank(), size(), send_chunk(), try_recv_chunk(), inbox_arrivals(),
+// wait_new_arrival().
 //
 // Determinism contract: the naive reference folds contributions in rank
 // order 0..P-1, and the filter/QR stacks rely on every rank seeing the
@@ -38,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "coll/request.hpp"
 #include "comm/reduction.hpp"
 #include "common/check.hpp"
 #include "la/matrix.hpp"
@@ -63,12 +68,17 @@ inline std::uint64_t make_tag(std::uint64_t seq, unsigned phase, unsigned step,
 /// Common machinery: blocking wait over progress(), and per-algorithm
 /// bytes/steps accounting flushed to the thread tracker on completion.
 template <typename Comm>
-class ChannelOp : public CollOp {
+class ChannelOp {
  public:
   explicit ChannelOp(const Comm& comm, const char* counter_prefix)
       : comm_(comm), prefix_(counter_prefix) {}
 
-  void wait() final {
+  /// Advance as far as possible without blocking; true once complete.
+  /// Idempotent after completion.
+  virtual bool progress() = 0;
+
+  /// Block until complete (poison-aware; may throw TeamAborted).
+  void wait() {
     for (;;) {
       // Read the arrival counter *before* progressing: a chunk landing
       // between progress() and the wait bumps it past `seen`, so

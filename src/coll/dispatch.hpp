@@ -3,16 +3,16 @@
 // (which owns the class definition and the naive publish-and-sync bodies);
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
-// hooks either way. Every call selects its routine afresh (coll::select);
-// the Routine -> algorithm mapping of each collective kind is written once
-// below and shared by the blocking and nonblocking entry points.
+// hooks either way. Every call selects its algorithm afresh (coll::select)
+// and runs it to completion before returning; the perf::CollAlgo ->
+// algorithm-class mapping of each collective kind is written once, in the
+// entry point of that kind below.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
 #error "coll/dispatch.hpp is glue for comm/communicator.hpp; include that"
 #endif
 
-#include <memory>
 #include <vector>
 
 #include "coll/algorithms.hpp"
@@ -36,71 +36,15 @@ inline std::vector<Index> uniform_displs(int nranks, Index count) {
 
 /// Tracker events of one channel routine: one event per phase of a
 /// hierarchical routine, attributed to the communicator each phase ran over,
-/// and a single event otherwise. `bracketed` closes the begin_collective()
-/// bracket a blocking caller opened.
+/// and a single event otherwise. The first event closes the
+/// begin_collective() bracket the caller opened.
 inline void account_routine(const Communicator& comm, perf::CollKind kind,
-                            coll::Routine r, std::size_t bytes,
-                            bool bracketed) {
+                            perf::CollAlgo algo, std::size_t bytes) {
   perf::Tracker* t = perf::thread_tracker();
   if (t == nullptr) return;
-  coll::account_phases(
-      t, comm.backend(),
-      coll::is_hierarchical(r)
-          ? coll::hier_phases(kind, bytes, comm.size(), comm.topo_info())
-          : std::vector<coll::CollPhase>{{kind, bytes, comm.size()}},
-      bracketed);
-}
-
-// ---- Routine -> channel algorithm, one mapping per collective kind ----
-
-template <typename T>
-std::unique_ptr<coll::CollOp> all_reduce_op(const Communicator& comm,
-                                            coll::Routine r, T* data,
-                                            Index count, Reduction op,
-                                            std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  switch (r) {
-    case coll::Routine::kHierAllReduce:
-      return std::make_unique<coll::HierAllReduce<Communicator, T>>(
-          comm, data, count, op, ce, seq);
-    case coll::Routine::kRingAllReduce:
-      return std::make_unique<coll::OrderedRingAllReduce<Communicator, T>>(
-          comm, data, count, op, ce, seq);
-    default:  // kRabenseifnerAllReduce
-      return std::make_unique<coll::RabenseifnerAllReduce<Communicator, T>>(
-          comm, data, count, op, ce, seq);
-  }
-}
-
-template <typename T>
-std::unique_ptr<coll::CollOp> broadcast_op(const Communicator& comm,
-                                           coll::Routine r, T* data,
-                                           Index count, int root,
-                                           std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  if (r == coll::Routine::kHierBroadcast) {
-    return std::make_unique<coll::HierBroadcast<Communicator, T>>(
-        comm, data, count, root, ce, seq);
-  }
-  return std::make_unique<coll::BinomialBroadcast<Communicator, T>>(
-      comm, data, count, root, ce, seq);
-}
-
-/// Flat equal-count allgather routines (the hierarchical one is a blocking
-/// composite over sub-communicators, not a single CollOp).
-template <typename T>
-std::unique_ptr<coll::CollOp> all_gather_op(const Communicator& comm,
-                                            coll::Routine r, const T* send,
-                                            Index count, T* recv,
-                                            std::uint64_t seq) {
-  const Index ce = coll_chunk_elems(sizeof(T));
-  if (r == coll::Routine::kBruckAllGather) {
-    return std::make_unique<coll::BruckAllGather<Communicator, T>>(
-        comm, send, recv, count, ce, seq);
-  }
-  return std::make_unique<coll::RingAllGather<Communicator, T>>(
-      comm, send, recv, std::vector<Index>(std::size_t(comm.size()), count),
-      uniform_displs(comm.size(), count), ce, seq);
+  coll::account_phases(t, comm.backend(),
+                       coll::routine_phases(kind, algo, bytes, comm.size(),
+                                            comm.topo_info()));
 }
 
 }  // namespace detail
@@ -112,19 +56,36 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
     return;
   }
   const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kAllReduce, bytes,
-                                       size(), backend_, topo_info());
-  if (r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(perf::CollKind::kAllReduce, bytes,
+                                           size(), backend_, topo_info());
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     naive_all_reduce(data, count, op);
     return;
   }
   fault::check("rank.die");
   account_begin();
   const std::uint64_t seq = next_collective_seq();
-  if (count > 0) detail::all_reduce_op(*this, r, data, count, op, seq)->wait();
+  if (count > 0) {
+    const Index ce = detail::coll_chunk_elems(sizeof(T));
+    switch (algo) {
+      case perf::CollAlgo::kHierAlgo:
+        coll::HierAllReduce<Communicator, T>(*this, data, count, op, ce, seq)
+            .wait();
+        break;
+      case perf::CollAlgo::kRingAlgo:
+        coll::OrderedRingAllReduce<Communicator, T>(*this, data, count, op, ce,
+                                                    seq)
+            .wait();
+        break;
+      default:  // kRabenseifner
+        coll::RabenseifnerAllReduce<Communicator, T>(*this, data, count, op,
+                                                     ce, seq)
+            .wait();
+        break;
+    }
+  }
   detail::corrupt_reduced(data, count);
-  detail::account_routine(*this, perf::CollKind::kAllReduce, r, bytes,
-                          /*bracketed=*/true);
+  detail::account_routine(*this, perf::CollKind::kAllReduce, algo, bytes);
 }
 
 template <typename T>
@@ -132,18 +93,27 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   if (size() == 1) return;
   CHASE_CHECK_MSG(root >= 0 && root < size(), "broadcast root out of range");
   const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kBroadcast, bytes,
-                                       size(), backend_, topo_info());
-  if (r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(perf::CollKind::kBroadcast, bytes,
+                                           size(), backend_, topo_info());
+  if (algo == perf::CollAlgo::kNaiveAlgo) {
     naive_broadcast(data, count, root);
     return;
   }
   fault::check("rank.die");
   account_begin();
   const std::uint64_t seq = next_collective_seq();
-  if (count > 0) detail::broadcast_op(*this, r, data, count, root, seq)->wait();
-  detail::account_routine(*this, perf::CollKind::kBroadcast, r, bytes,
-                          /*bracketed=*/true);
+  if (count > 0) {
+    const Index ce = detail::coll_chunk_elems(sizeof(T));
+    if (algo == perf::CollAlgo::kHierAlgo) {
+      coll::HierBroadcast<Communicator, T>(*this, data, count, root, ce, seq)
+          .wait();
+    } else {  // kBinomial
+      coll::BinomialBroadcast<Communicator, T>(*this, data, count, root, ce,
+                                               seq)
+          .wait();
+    }
+  }
+  detail::account_routine(*this, perf::CollKind::kBroadcast, algo, bytes);
 }
 
 template <typename T>
@@ -151,14 +121,15 @@ void Communicator::all_gather(const T* send, Index count, T* recv) const {
   const std::size_t local_bytes = std::size_t(std::max<Index>(count, 0)) *
                                   sizeof(T);
   const std::size_t total_bytes = std::size_t(size()) * local_bytes;
-  const coll::Routine r = coll::select(perf::CollKind::kAllGather, total_bytes,
-                                       size(), backend_, topo_info());
-  if (size() == 1 || r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(
+      perf::CollKind::kAllGather, total_bytes, size(), backend_, topo_info());
+  if (size() == 1 || algo == perf::CollAlgo::kNaiveAlgo) {
     naive_all_gather(send, count, recv);
     return;
   }
   fault::check("rank.die");
-  if (r == coll::Routine::kHierAllGather) {
+  const Index ce = detail::coll_chunk_elems(sizeof(T));
+  if (algo == perf::CollAlgo::kHierAlgo) {
     // Collective group construction (two split() calls) stays outside the
     // perf bracket; it happens once per communicator.
     const auto& group = hier_group();
@@ -167,18 +138,26 @@ void Communicator::all_gather(const T* send, Index count, T* recv) const {
       coll::hier_all_gather_v(
           *this, group, send, recv,
           std::vector<Index>(std::size_t(size()), count),
-          detail::uniform_displs(size(), count),
-          detail::coll_chunk_elems(sizeof(T)));
+          detail::uniform_displs(size(), count), ce);
     }
   } else {
     account_begin();
     const std::uint64_t seq = next_collective_seq();
     if (count > 0) {
-      detail::all_gather_op(*this, r, send, count, recv, seq)->wait();
+      if (algo == perf::CollAlgo::kBruck) {
+        coll::BruckAllGather<Communicator, T>(*this, send, recv, count, ce,
+                                              seq)
+            .wait();
+      } else {  // kRingAlgo
+        coll::RingAllGather<Communicator, T>(
+            *this, send, recv, std::vector<Index>(std::size_t(size()), count),
+            detail::uniform_displs(size(), count), ce, seq)
+            .wait();
+      }
     }
   }
-  detail::account_routine(*this, perf::CollKind::kAllGather, r, total_bytes,
-                          /*bracketed=*/true);
+  detail::account_routine(*this, perf::CollKind::kAllGather, algo,
+                          total_bytes);
 }
 
 template <typename T>
@@ -194,62 +173,32 @@ void Communicator::all_gather_v(const T* send, Index count, T* recv,
                                   sizeof(T);
   std::size_t total_bytes = 0;
   for (const Index c : counts) total_bytes += std::size_t(c) * sizeof(T);
-  const coll::Routine r = coll::select(perf::CollKind::kAllGather, total_bytes,
-                                       size(), backend_, topo_info());
-  if (size() == 1 || r == coll::Routine::kNaive) {
+  const perf::CollAlgo algo = coll::select(
+      perf::CollKind::kAllGather, total_bytes, size(), backend_, topo_info());
+  if (size() == 1 || algo == perf::CollAlgo::kNaiveAlgo) {
     naive_all_gather_v(send, count, recv, counts, displs);
     return;
   }
   fault::check("rank.die");
+  const Index ce = detail::coll_chunk_elems(sizeof(T));
   // The composite hierarchical allgather requires the canonical contiguous
   // layout; scattered receive ranges ride the flat ring instead. The layout
   // is rank-identical, so every rank takes the same branch.
-  if (r == coll::Routine::kHierAllGather &&
+  if (algo == perf::CollAlgo::kHierAlgo &&
       coll::canonical_gather_layout(counts, displs)) {
     const auto& group = hier_group();
     account_begin();
-    coll::hier_all_gather_v(*this, group, send, recv, counts, displs,
-                            detail::coll_chunk_elems(sizeof(T)));
-    detail::account_routine(*this, perf::CollKind::kAllGather, r, total_bytes,
-                            /*bracketed=*/true);
+    coll::hier_all_gather_v(*this, group, send, recv, counts, displs, ce);
+    detail::account_routine(*this, perf::CollKind::kAllGather, algo,
+                            total_bytes);
     return;
   }
   account_begin();
-  const std::uint64_t seq = next_collective_seq();
   // Bruck needs uniform blocks; the variable-count case rides the ring.
-  coll::RingAllGather<Communicator, T> alg(*this, send, recv, counts, displs,
-                                           detail::coll_chunk_elems(sizeof(T)),
-                                           seq);
-  alg.wait();
+  coll::RingAllGather<Communicator, T>(*this, send, recv, counts, displs, ce,
+                                       next_collective_seq())
+      .wait();
   account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
-}
-
-template <typename T>
-coll::CollRequest Communicator::i_all_reduce(T* data, Index count,
-                                             Reduction op) const {
-  const std::size_t bytes = std::size_t(std::max<Index>(count, 0)) * sizeof(T);
-  const coll::Routine r =
-      size() == 1 || count <= 0
-          ? coll::Routine::kNaive
-          : coll::select(perf::CollKind::kAllReduce, bytes, size(), backend_,
-                         topo_info());
-  if (r == coll::Routine::kNaive) {
-    // No channel algorithm to run asynchronously — complete eagerly (the
-    // naive path is one blocking publish-and-sync anyway).
-    all_reduce(data, count, op);
-    return {};
-  }
-  fault::check("rank.die");
-  auto alg =
-      detail::all_reduce_op(*this, r, data, count, op, next_collective_seq());
-  auto on_done = [this, data, count, r, bytes] {
-    detail::corrupt_reduced(data, count);
-    detail::account_routine(*this, perf::CollKind::kAllReduce, r, bytes,
-                            /*bracketed=*/false);
-  };
-  return coll::CollRequest(
-      std::make_unique<coll::WithCompletion<decltype(on_done)>>(
-          std::move(alg), std::move(on_done)));
 }
 
 }  // namespace chase::comm

@@ -27,59 +27,32 @@ constinit Policy<std::size_t> chunk_bytes_policy{
 
 namespace {
 
-perf::CollAlgo routine_algo(Routine r) {
-  switch (r) {
-    case Routine::kRingAllReduce:
-      return perf::CollAlgo::kRingAlgo;
-    case Routine::kRabenseifnerAllReduce:
-      return perf::CollAlgo::kRabenseifner;
-    case Routine::kRingAllGather:
-      return perf::CollAlgo::kRingAlgo;
-    case Routine::kBruckAllGather:
-      return perf::CollAlgo::kBruck;
-    case Routine::kBinomialBroadcast:
-      return perf::CollAlgo::kBinomial;
-    case Routine::kHierAllReduce:
-    case Routine::kHierAllGather:
-    case Routine::kHierBroadcast:
-      return perf::CollAlgo::kHierAlgo;
-    case Routine::kNaive:
-    default:
-      return perf::CollAlgo::kNaiveAlgo;
-  }
-}
+using perf::CollAlgo;
 
-Routine cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
-                 perf::Backend backend, const perf::TopoInfo& topo,
-                 std::initializer_list<Routine> candidates) {
+CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
+                  perf::Backend backend, const perf::TopoInfo& topo,
+                  std::initializer_list<CollAlgo> candidates) {
   // Priced with the process-global selection model so a loaded machine
   // profile (tune::install_profile) recalibrates the auto policy too.
   const perf::MachineModel model = perf::selection_model();
   const std::size_t chunk = chunk_bytes();
-  Routine best = Routine::kNaive;
+  CollAlgo best = CollAlgo::kNaiveAlgo;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (Routine r : candidates) {
-    const double cost =
-        perf::coll_algo_seconds(model, backend, kind, routine_algo(r), bytes,
-                                nranks, chunk, topo);
+  for (CollAlgo a : candidates) {
+    const double cost = perf::coll_algo_seconds(model, backend, kind, a, bytes,
+                                                nranks, chunk, topo);
     if (cost < best_cost) {
       best_cost = cost;
-      best = r;
+      best = a;
     }
   }
   return best;
 }
 
-Routine hier_routine(perf::CollKind kind) {
-  switch (kind) {
-    case perf::CollKind::kAllReduce:
-      return Routine::kHierAllReduce;
-    case perf::CollKind::kAllGather:
-      return Routine::kHierAllGather;
-    case perf::CollKind::kBroadcast:
-    default:
-      return Routine::kHierBroadcast;
-  }
+/// The flat chunk-channel algorithm of the ring family for `kind`.
+CollAlgo ring_family(perf::CollKind kind) {
+  return kind == perf::CollKind::kBroadcast ? CollAlgo::kBinomial
+                                            : CollAlgo::kRingAlgo;
 }
 
 }  // namespace
@@ -100,30 +73,6 @@ std::string_view algorithm_name(Algorithm a) {
   }
 }
 
-std::string_view routine_name(Routine r) {
-  switch (r) {
-    case Routine::kRingAllReduce:
-      return "ring_allreduce";
-    case Routine::kRabenseifnerAllReduce:
-      return "rabenseifner_allreduce";
-    case Routine::kRingAllGather:
-      return "ring_allgather";
-    case Routine::kBruckAllGather:
-      return "bruck_allgather";
-    case Routine::kBinomialBroadcast:
-      return "binomial_broadcast";
-    case Routine::kHierAllReduce:
-      return "hier_allreduce";
-    case Routine::kHierAllGather:
-      return "hier_allgather";
-    case Routine::kHierBroadcast:
-      return "hier_broadcast";
-    case Routine::kNaive:
-    default:
-      return "naive";
-  }
-}
-
 std::optional<Algorithm> parse_algorithm(std::string_view name) {
   if (name == "naive") return Algorithm::kNaive;
   if (name == "ring") return Algorithm::kRing;
@@ -131,11 +80,6 @@ std::optional<Algorithm> parse_algorithm(std::string_view name) {
   if (name == "hier") return Algorithm::kHier;
   if (name == "auto") return Algorithm::kAuto;
   return std::nullopt;
-}
-
-bool is_hierarchical(Routine r) {
-  return r == Routine::kHierAllReduce || r == Routine::kHierAllGather ||
-         r == Routine::kHierBroadcast;
 }
 
 Algorithm algorithm_for(perf::CollKind kind, std::size_t bytes) {
@@ -157,83 +101,61 @@ std::size_t chunk_bytes() {
   return chunk_bytes_policy.fallback();
 }
 
-bool overlap_enabled() { return algorithm_policy.get() == Algorithm::kAuto; }
-
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend) {
+CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                perf::Backend backend) {
   return select(kind, bytes, nranks, backend, perf::TopoInfo{});
 }
 
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend, const perf::TopoInfo& topo) {
-  if (nranks <= 1) return Routine::kNaive;
+CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                perf::Backend backend, const perf::TopoInfo& topo) {
+  if (nranks <= 1) return CollAlgo::kNaiveAlgo;
   const bool grouped = topo.grouped();
   switch (algorithm_for(kind, bytes)) {
     case Algorithm::kNaive:
-      return Routine::kNaive;
+      return CollAlgo::kNaiveAlgo;
     case Algorithm::kRing:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return Routine::kRingAllReduce;
-        case perf::CollKind::kAllGather:
-          return Routine::kRingAllGather;
-        case perf::CollKind::kBroadcast:
-        default:
-          return Routine::kBinomialBroadcast;
-      }
+      return ring_family(kind);
     case Algorithm::kTree:
       switch (kind) {
         case perf::CollKind::kAllReduce:
-          return Routine::kRabenseifnerAllReduce;
+          return CollAlgo::kRabenseifner;
         case perf::CollKind::kAllGather:
-          return Routine::kBruckAllGather;
+          return CollAlgo::kBruck;
         case perf::CollKind::kBroadcast:
         default:
-          return Routine::kBinomialBroadcast;
+          return CollAlgo::kBinomial;
       }
     case Algorithm::kHier:
       // Explicit two-level policy; degrades to the flat ring family when the
       // communicator spans a single group (or a non-contiguous one).
-      if (grouped) return hier_routine(kind);
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return Routine::kRingAllReduce;
-        case perf::CollKind::kAllGather:
-          return Routine::kRingAllGather;
-        case perf::CollKind::kBroadcast:
-        default:
-          return Routine::kBinomialBroadcast;
-      }
+      return grouped ? CollAlgo::kHierAlgo : ring_family(kind);
     case Algorithm::kAuto:
     default:
       switch (kind) {
         case perf::CollKind::kAllReduce:
           return grouped
                      ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllReduce,
-                                 Routine::kRabenseifnerAllReduce,
-                                 Routine::kHierAllReduce})
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
+                                 CollAlgo::kRabenseifner, CollAlgo::kHierAlgo})
                      : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllReduce,
-                                 Routine::kRabenseifnerAllReduce});
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
+                                 CollAlgo::kRabenseifner});
         case perf::CollKind::kAllGather:
           return grouped
                      ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllGather,
-                                 Routine::kBruckAllGather,
-                                 Routine::kHierAllGather})
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
+                                 CollAlgo::kBruck, CollAlgo::kHierAlgo})
                      : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kRingAllGather,
-                                 Routine::kBruckAllGather});
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
+                                 CollAlgo::kBruck});
         case perf::CollKind::kBroadcast:
         default:
           return grouped
                      ? cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive, Routine::kBinomialBroadcast,
-                                 Routine::kHierBroadcast})
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kBinomial,
+                                 CollAlgo::kHierAlgo})
                      : cheapest(kind, bytes, nranks, backend, topo,
-                                {Routine::kNaive,
-                                 Routine::kBinomialBroadcast});
+                                {CollAlgo::kNaiveAlgo, CollAlgo::kBinomial});
       }
   }
 }
@@ -273,10 +195,19 @@ std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
   return out;
 }
 
+std::vector<CollPhase> routine_phases(perf::CollKind kind, CollAlgo algo,
+                                      std::size_t bytes, int nranks,
+                                      const perf::TopoInfo& topo) {
+  if (algo == CollAlgo::kHierAlgo) {
+    return hier_phases(kind, bytes, nranks, topo);
+  }
+  return {{kind, bytes, nranks}};
+}
+
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    const std::vector<CollPhase>& phases, bool bracketed) {
+                    const std::vector<CollPhase>& phases) {
   if (t == nullptr) return;
-  bool close_bracket = bracketed;
+  bool close_bracket = true;
   for (const auto& p : phases) {
     if (p.nranks <= 1) continue;
     const std::size_t local = p.kind == perf::CollKind::kAllGather

@@ -12,8 +12,7 @@
 //
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
 // model (perf::coll_algo_seconds) over the available routines — the
-// in-process analogue of NCCL's protocol/algorithm autotuner — and is also
-// the switch that arms the nonblocking overlap path in dist/core. With a
+// in-process analogue of NCCL's protocol/algorithm autotuner. With a
 // grouped topology (CHASE_TOPO, src/comm/topology.hpp) the selection runs
 // the per-link-class overload, so `auto` chooses the two-level hierarchical
 // routines exactly when the slow cross-group links make them win.
@@ -33,26 +32,8 @@ namespace chase::coll {
 
 enum class Algorithm : int { kNaive = 0, kRing, kTree, kHier, kAuto };
 
-/// Concrete routine the dispatcher runs for one call.
-enum class Routine : int {
-  kNaive = 0,
-  kRingAllReduce,
-  kRabenseifnerAllReduce,
-  kRingAllGather,
-  kBruckAllGather,
-  kBinomialBroadcast,
-  kHierAllReduce,
-  kHierAllGather,
-  kHierBroadcast,
-};
-
 std::string_view algorithm_name(Algorithm a);
-std::string_view routine_name(Routine r);
 std::optional<Algorithm> parse_algorithm(std::string_view name);
-
-/// True for the two-level routines (dispatched over grouped
-/// sub-communicators).
-bool is_hierarchical(Routine r);
 
 /// CHASE_COLL_ALGO: the process-wide override (default naive). Overrides
 /// beat any loaded machine profile (the autotuner contract, DESIGN.md §15).
@@ -72,23 +53,20 @@ extern Policy<std::size_t> chunk_bytes_policy;
 /// chunk_bytes > built-in 64 KiB default.
 std::size_t chunk_bytes();
 
-/// True when the nonblocking overlap pipeline (dist_matrix::apply_impl
-/// splitting the HEMM into column blocks and overlapping block k+1's compute
-/// with block k's reduction) should run: policy auto.
-bool overlap_enabled();
-
-/// Pick the routine for one collective call. `bytes` follows the Tracker
+/// Pick the concrete algorithm for one collective call; together with the
+/// collective kind the caller already knows, it names the routine the
+/// dispatcher runs (coll/dispatch.hpp). `bytes` follows the Tracker
 /// convention (per-rank payload for reduce/broadcast, total gathered buffer
 /// for allgather).
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend);
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend);
 
 /// Topology-aware variant: considers the hierarchical routines and prices
 /// every candidate with the per-link-class cost model. With a flat `topo`
 /// this is exactly the overload above. All inputs are rank-identical across
 /// a communicator, so every rank of an SPMD region picks the same routine.
-Routine select(perf::CollKind kind, std::size_t bytes, int nranks,
-               perf::Backend backend, const perf::TopoInfo& topo);
+perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
+                      perf::Backend backend, const perf::TopoInfo& topo);
 
 /// One phase of a multi-phase (hierarchical) routine, in Tracker event
 /// terms: what ran, how many bytes it carried, over how many ranks.
@@ -107,13 +85,20 @@ struct CollPhase {
 std::vector<CollPhase> hier_phases(perf::CollKind kind, std::size_t bytes,
                                    int nranks, const perf::TopoInfo& topo);
 
-/// Record `phases` on `t` (no-op when null). When `bracketed`, the first
-/// phase closes the begin_collective() bracket the caller opened
-/// (end_collective); the remaining phases are plain record_collective()
-/// events. On the STD backend each phase additionally stages its payload
-/// over PCIe (D2H before, H2D after), mirroring what a host-staged
-/// multi-phase collective really moves.
+/// The Tracker events of one collective run with `algo`: the per-phase
+/// decomposition (hier_phases) for the hierarchical algorithm, the single
+/// flat phase otherwise.
+std::vector<CollPhase> routine_phases(perf::CollKind kind, perf::CollAlgo algo,
+                                      std::size_t bytes, int nranks,
+                                      const perf::TopoInfo& topo);
+
+/// Record `phases` on `t` (no-op when null). The first phase closes the
+/// begin_collective() bracket the caller opened (end_collective); the
+/// remaining phases are plain record_collective() events. On the STD
+/// backend each phase additionally stages its payload over PCIe (D2H
+/// before, H2D after), mirroring what a host-staged multi-phase collective
+/// really moves.
 void account_phases(perf::Tracker* t, perf::Backend backend,
-                    const std::vector<CollPhase>& phases, bool bracketed);
+                    const std::vector<CollPhase>& phases);
 
 }  // namespace chase::coll

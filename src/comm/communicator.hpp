@@ -14,8 +14,8 @@
 //    binomial over chunked point-to-point channels, see chunk_channel.hpp),
 //    standing in for NCCL's pipelined algorithms. The CHASE_COLL_ALGO policy
 //    (coll/engine.hpp) picks per call; every algorithm is bitwise-identical
-//    to the naive reference. The nonblocking i_all_reduce returns a
-//    coll::CollRequest so callers can overlap communication with compute.
+//    to the naive reference. Every collective runs to completion in the
+//    call that issues it.
 //
 // The Backend tag reproduces the paper's three communication variants:
 //  - kHostMpi: buffers live on the host, plain MPI collectives
@@ -55,7 +55,6 @@
 #include <utility>
 #include <vector>
 
-#include "coll/request.hpp"
 #include "comm/chunk_channel.hpp"
 #include "comm/rank_error.hpp"
 #include "comm/reduction.hpp"
@@ -195,14 +194,6 @@ class Communicator {
   void all_gather_v(const T* send, Index count, T* recv,
                     const std::vector<Index>& counts,
                     const std::vector<Index>& displs) const;
-
-  /// Nonblocking allreduce: returns immediately with a CollRequest; the
-  /// reduction completes during test()/wait() calls (poll-driven progress
-  /// over the chunk channels — there is no progress thread). Under the
-  /// naive policy (or trivial teams/payloads) it completes eagerly.
-  template <typename T>
-  coll::CollRequest i_all_reduce(T* data, Index count,
-                                 Reduction op = Reduction::kSum) const;
 
   /// Collective: partitions ranks by color; ranks sharing a color form a new
   /// communicator ordered by (key, old rank). Every rank must call.

@@ -15,21 +15,16 @@
 // sorting the active columns by degree ascending and shrinking the processed
 // column range as degrees complete.
 //
-// Communication/compute overlap (the v1.4 scheme): under
-// CHASE_COLL_ALGO=auto every apply_c2b/apply_b2c below splits its HEMM into
-// column blocks and overlaps the nonblocking allreduce of block k with the
-// multiply of block k+1 (dist_matrix.hpp apply_impl). Every reduction, the
-// blocking one of the plain path and each block's i_all_reduce, selects its
-// routine per call in src/coll. The result is bitwise-identical to the
-// blocking path, so the filter needs no changes — the per-apply
-// "coll.overlap.blocks" counter records how often the pipeline engaged.
+// Every apply_c2b/apply_b2c below is one local multiply followed by one
+// allreduce (the v1.4 scheme, dist_matrix.hpp apply_impl); that reduction
+// selects its routine per call in src/coll and runs to completion before
+// the apply returns.
 //
 // The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
 // engine (src/la/gemm.hpp): diagonal ranks of the grid hold a Hermitian
 // block and dispatch to the symmetry-aware la::hemm (one-triangle reads,
 // packed-panel replay across column blocks), off-diagonal ranks run the
-// register-tiled gemm. Both engines are column-split invariant, which is
-// what keeps the overlap pipeline's result bitwise stable.
+// register-tiled gemm.
 #pragma once
 
 #include <algorithm>

@@ -16,10 +16,10 @@
 //
 // Per output element the contributions arrive in ascending k order through
 // the same macro-kernel as gemm, so results are bitwise independent of how
-// B's columns are split — the property the dist-layer overlap pipeline
-// relies on. (Equality with gemm() on an exactly Hermitian operand holds to
-// rounding, not bitwise: the compiler may contract the complex
-// multiply-accumulates differently in the two inlined instantiations.)
+// B's columns are split. (Equality with gemm() on an exactly Hermitian
+// operand holds to rounding, not bitwise: the compiler may contract the
+// complex multiply-accumulates differently in the two inlined
+// instantiations.)
 //
 // Under the `naive`/`blocked` policies hemm() simply forwards to gemm() so
 // those oracles stay byte-for-byte the seed behaviour.

@@ -39,11 +39,12 @@ perf::TopoInfo model_topo(const ChaseModelSetup& s, bool col_comm) {
 }
 
 /// Mirrors comm::Communicator's accounting: one collective event plus, for
-/// the STD backend, the two staging copies around it. Self-communicators
-/// record nothing (the real collectives early-return). Each call consults
-/// the same coll::select the real dispatcher runs, so on a grouped
-/// communicator the replay emits the hierarchical per-phase decomposition
-/// (coll::hier_phases) instead of the single flat event.
+/// the STD backend, the staging copies around it. Self-communicators record
+/// nothing (the real collectives early-return). Each call consults the same
+/// coll::select the real dispatcher runs and records through the same
+/// coll::account_phases, so on a grouped communicator the replay emits the
+/// hierarchical per-phase decomposition (coll::hier_phases) instead of the
+/// single flat event.
 struct ModelComm {
   Tracker& t;
   Backend backend;
@@ -56,20 +57,16 @@ struct ModelComm {
         col_topo(model_topo(s, /*col_comm=*/true)),
         row_topo(model_topo(s, /*col_comm=*/false)) {}
 
+  /// `bytes` follows the Tracker convention (the total gathered payload for
+  /// an allgather).
   void collective(CollKind kind, std::size_t bytes, int nranks,
                   const perf::TopoInfo& topo) {
     if (nranks <= 1) return;
-    const coll::Routine r = coll::select(kind, bytes, nranks, backend, topo);
-    if (coll::is_hierarchical(r)) {
-      t.begin_collective();
-      coll::account_phases(&t, backend, coll::hier_phases(kind, bytes, nranks, topo),
-                           /*bracketed=*/true);
-      return;
-    }
-    if (backend == Backend::kStdGpu) t.record_memcpy(bytes, false);
+    const perf::CollAlgo algo =
+        coll::select(kind, bytes, nranks, backend, topo);
     t.begin_collective();
-    t.end_collective(kind, bytes, nranks);
-    if (backend == Backend::kStdGpu) t.record_memcpy(bytes, true);
+    coll::account_phases(
+        &t, backend, coll::routine_phases(kind, algo, bytes, nranks, topo));
   }
   void all_reduce(std::size_t bytes, int nranks,
                   const perf::TopoInfo& topo) {
@@ -84,22 +81,8 @@ struct ModelComm {
   /// Communicator::all_gather's accounting.
   void all_gather(std::size_t local_bytes, int nranks,
                   const perf::TopoInfo& topo) {
-    if (nranks <= 1) return;
-    const std::size_t total = std::size_t(nranks) * local_bytes;
-    const coll::Routine r =
-        coll::select(CollKind::kAllGather, total, nranks, backend, topo);
-    if (coll::is_hierarchical(r)) {
-      t.begin_collective();
-      coll::account_phases(
-          &t, backend,
-          coll::hier_phases(CollKind::kAllGather, total, nranks, topo),
-          /*bracketed=*/true);
-      return;
-    }
-    if (backend == Backend::kStdGpu) t.record_memcpy(local_bytes, false);
-    t.begin_collective();
-    t.end_collective(CollKind::kAllGather, total, nranks);
-    if (backend == Backend::kStdGpu) t.record_memcpy(total, true);
+    collective(CollKind::kAllGather, std::size_t(nranks) * local_bytes, nranks,
+               topo);
   }
 };
 

@@ -165,7 +165,10 @@ void Tracker::merge_max_times(const Tracker& other) {
   if (copies_.empty()) copies_ = other.copies_;
 }
 
-void set_thread_tracker(Tracker* t) { tls_tracker = t; }
+void set_thread_tracker(Tracker* t) {
+  if (t != nullptr) t->last_cpu_ = thread_cpu_seconds();
+  tls_tracker = t;
+}
 
 Tracker* thread_tracker() { return tls_tracker; }
 

@@ -117,10 +117,9 @@ class Tracker {
   void end_collective(CollKind kind, std::size_t bytes, int nranks);
 
   /// Record a CollectiveEvent without the begin/end CPU-time bracketing —
-  /// for nonblocking collectives, whose progress is interleaved with compute
-  /// and may overlap other outstanding requests (begin_collective forbids
-  /// nesting by design). Their CPU time stays in the compute bucket, which
-  /// is exactly the overlap the v1.4 pipeline is after.
+  /// for the later phases of a multi-phase (hierarchical) collective, whose
+  /// CPU time the first phase's end_collective already attributed
+  /// (begin_collective forbids nesting by design).
   void record_collective(CollKind kind, std::size_t bytes, int nranks);
 
   void record_memcpy(std::size_t bytes, bool to_device);
@@ -157,6 +156,8 @@ class Tracker {
   void merge_max_times(const Tracker& other);
 
  private:
+  friend void set_thread_tracker(Tracker* t);
+
   void attribute_elapsed(double* bucket);
 
   Region region_ = Region::kOther;
@@ -170,7 +171,11 @@ class Tracker {
 };
 
 /// Install / fetch the calling thread's tracker. Library code must tolerate
-/// a null tracker (no accounting requested).
+/// a null tracker (no accounting requested). Installing a tracker rebases
+/// its CPU clock on the calling thread, so the thread CPU time the tracker
+/// attributes starts at the install (the clock is per thread: a tracker
+/// constructed on one thread and installed on another would otherwise
+/// charge the difference of two unrelated clocks).
 void set_thread_tracker(Tracker* t);
 Tracker* thread_tracker();
 

@@ -75,6 +75,35 @@ TEST(Tracker, CommunicatorRecordsEventsPerBackend) {
   }
 }
 
+// A tracker is constructed on the launching thread but installed on a rank
+// thread; the thread CPU clocks of the two are unrelated, so every bucket
+// must be measured from the install, never from the construction.
+TEST(Tracker, RankThreadBucketsNeverNegative) {
+  const double t0 = thread_cpu_seconds();
+  while (thread_cpu_seconds() - t0 < 0.05) {
+  }
+  const int p = 4;
+  std::vector<Tracker> trackers(p);
+  comm::Team team(p);
+  team.run(
+      [&](comm::Communicator& comm) {
+        double x = 1.0;
+        comm.all_reduce(&x, 1);
+        thread_tracker()->set_region(Region::kFilter);
+        comm.all_reduce(&x, 1);
+      },
+      &trackers);
+  for (int r = 0; r < p; ++r) {
+    for (int g = 0; g < kRegionCount; ++g) {
+      const RegionCosts& c = trackers[std::size_t(r)].costs(Region(g));
+      EXPECT_GE(c.compute_seconds, 0.0)
+          << "rank " << r << " " << region_name(Region(g));
+      EXPECT_GE(c.comm_cpu_seconds, 0.0)
+          << "rank " << r << " " << region_name(Region(g));
+    }
+  }
+}
+
 TEST(Machine, MpiAllreducePowerOfTwoAdvantage) {
   MachineModel m;
   const std::size_t bytes = 1 << 20;

@@ -1,30 +1,26 @@
-// Microbenchmark of the CHASE_FACTOR_KERNEL policy engine (src/la/factor/):
-// naive (seed scalar) vs blocked (panel + GEMM lowering) rates for the four
-// factorization families — TRSM, POTRF, HERK, HETRD — over the sizes where
-// the solver actually runs them, plus the end-to-end effect on the two
-// consumers: a CholeskyQR2 orthonormalization and the Rayleigh-Ritz HEEVD.
+// Microbenchmark of the blocked factorization engine (src/la/factor/):
+// the seed scalar oracles (la::factor::naive_*) vs the production entry
+// points (la::trsm_right_upper, potrf_upper, herk_upper, hetrd_lower) for
+// the four factorization families — TRSM, POTRF, HERK, HETRD — over the
+// sizes where the solver actually runs them.
 //
 // Writes results/bench_factor.json (first argument overrides the path);
 // scripts/compare_bench.py enforces the engine's requirements: blocked must
 // reach >= 2x naive on TRSM/POTRF/HERK at n=1024 for double and
-// complex<double>, and the end-to-end consumers must not regress under the
-// blocked policy.
-#include <algorithm>
-#include <chrono>
+// complex<double>, and must not lose to naive on HETRD at n >= 512.
 #include <complex>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "common/rng.hpp"
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
 #include "la/heevd.hpp"
 #include "la/potrf.hpp"
 #include "la/trsm.hpp"
-#include "qr/cholqr.hpp"
 
 namespace {
 
@@ -65,24 +61,6 @@ la::Matrix<T> random_posdef(Index n, std::uint64_t seed) {
   return g;
 }
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Best-of-`reps` seconds of one thunk (host noise is one-sided).
-template <typename F>
-double best_seconds(int reps, F&& run) {
-  double best = 1e99;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = now_seconds();
-    run();
-    best = std::min(best, now_seconds() - t0);
-  }
-  return best;
-}
-
 struct FactorRow {
   const char* op;
   const char* kernel;
@@ -92,146 +70,94 @@ struct FactorRow {
   double gflops;
 };
 
-struct EndToEndRow {
-  const char* name;
-  const char* type;
-  Index m;
-  Index n;
-  double naive_seconds;
-  double blocked_seconds;
-  double ratio;  // blocked / naive
-};
-
-constexpr la::FactorKernel kPolicies[] = {la::FactorKernel::kNaive,
-                                          la::FactorKernel::kBlocked};
-
-int reps_for(la::FactorKernel kern, Index n) {
-  // The naive paths run seconds-per-call at n=1024; one repetition is plenty
-  // at that duration, while the blocked kernels take best-of-5.
-  if (kern == la::FactorKernel::kNaive) return n >= 1024 ? 1 : 2;
-  return 5;
-}
+// Best-of-reps timing (host noise is one-sided). The naive oracles run
+// seconds-per-call at n=1024; one repetition is plenty at that duration,
+// while the blocked kernels take best-of-5.
+int naive_reps(Index n) { return n >= 1024 ? 1 : 2; }
+constexpr int kBlockedReps = 5;
 
 template <typename T>
 void sweep_factor(const char* type_name, const std::vector<Index>& ns,
                   const std::vector<Index>& hetrd_ns,
                   std::vector<FactorRow>& out) {
+  using R = RealType<T>;
   const double z = kIsComplex<T> ? 4.0 : 1.0;
-  auto record = [&](const char* op, la::FactorKernel kern, Index n,
-                    double flops, double secs) {
-    out.push_back({op, la::factor_kernel_name(kern).data(), type_name, n,
-                   secs, flops / secs / 1e9});
-    std::printf("  %-6s %-7s %-15s n=%-5lld %10.4fs %9.2f Gflop/s\n", op,
-                la::factor_kernel_name(kern).data(), type_name, (long long)n,
-                secs, flops / secs / 1e9);
+  // One naive (oracle) and one blocked (production) row per op and size.
+  auto record = [&](const char* op, Index n, double flops, double naive,
+                    double blocked) {
+    for (const auto& [kernel, secs] :
+         {std::pair{"naive", naive}, std::pair{"blocked", blocked}}) {
+      out.push_back({op, kernel, type_name, n, secs, flops / secs / 1e9});
+      std::printf("  %-6s %-7s %-15s n=%-5lld %10.4fs %9.2f Gflop/s\n", op,
+                  kernel, type_name, (long long)n, secs, flops / secs / 1e9);
+    }
   };
 
   for (Index n : ns) {
     // TRSM: solve X R^{-1} with an n x n rhs block (the CholeskyQR shape).
     {
       auto r = random_posdef<T>(n, 1);
-      {
-        ScopedPolicy scoped(la::factor_kernel_policy,
-                            la::FactorKernel::kBlocked);
-        la::potrf_upper(r.view());
-      }
+      la::potrf_upper(r.view());
       auto x = random_mat<T>(n, n, 2);
-      const double flops = z * double(n) * double(n) * double(n);
-      for (la::FactorKernel kern : kPolicies) {
-        ScopedPolicy scoped(la::factor_kernel_policy, kern);
-        const double s = best_seconds(reps_for(kern, n), [&] {
-          auto work = la::clone(x.cview());
-          la::trsm_right_upper(r.view().as_const(), work.view());
-        });
-        record("trsm", kern, n, flops, s);
-      }
+      const double naive = bench::measure(0, naive_reps(n), [&] {
+        auto work = la::clone(x.cview());
+        la::factor::naive_trsm_right_upper(r.cview(), work.view());
+      }).best;
+      const double blocked = bench::measure(0, kBlockedReps, [&] {
+        auto work = la::clone(x.cview());
+        la::trsm_right_upper(r.cview(), work.view());
+      }).best;
+      record("trsm", n, z * double(n) * double(n) * double(n), naive,
+             blocked);
     }
     // POTRF.
     {
       auto a = random_posdef<T>(n, 3);
-      const double flops = z * double(n) * double(n) * double(n) / 3.0;
-      for (la::FactorKernel kern : kPolicies) {
-        ScopedPolicy scoped(la::factor_kernel_policy, kern);
-        const double s = best_seconds(reps_for(kern, n), [&] {
-          auto work = la::clone(a.cview());
-          const int info = la::potrf_upper(work.view());
-          if (info != 0) std::abort();
-        });
-        record("potrf", kern, n, flops, s);
-      }
+      const double naive = bench::measure(0, naive_reps(n), [&] {
+        auto work = la::clone(a.cview());
+        if (la::factor::naive_potrf_upper(work.view(), R(0)) != 0) {
+          std::abort();
+        }
+      }).best;
+      const double blocked = bench::measure(0, kBlockedReps, [&] {
+        auto work = la::clone(a.cview());
+        if (la::potrf_upper(work.view()) != 0) std::abort();
+      }).best;
+      record("potrf", n, z * double(n) * double(n) * double(n) / 3.0, naive,
+             blocked);
     }
     // HERK: upper-triangle Gram of an n x n block.
     {
       auto x = random_mat<T>(n, n, 4);
       la::Matrix<T> c(n, n);
-      const double flops = z * double(n) * double(n) * double(n);
-      for (la::FactorKernel kern : kPolicies) {
-        ScopedPolicy scoped(la::factor_kernel_policy, kern);
-        const double s = best_seconds(reps_for(kern, n), [&] {
-          la::herk_upper(T(1), x.cview(), T(0), c.view());
-        });
-        record("herk", kern, n, flops, s);
-      }
+      const double naive = bench::measure(0, naive_reps(n), [&] {
+        la::factor::naive_herk_upper(T(1), x.cview(), T(0), c.view());
+      }).best;
+      const double blocked = bench::measure(0, kBlockedReps, [&] {
+        la::herk_upper(T(1), x.cview(), T(0), c.view());
+      }).best;
+      record("herk", n, z * double(n) * double(n) * double(n), naive,
+             blocked);
     }
   }
 
   for (Index n : hetrd_ns) {
     auto a = random_herm<T>(n, 5);
-    std::vector<RealType<T>> d, e;
+    std::vector<R> d(static_cast<std::size_t>(n));
+    std::vector<R> e(static_cast<std::size_t>(n - 1));
+    std::vector<T> taus(static_cast<std::size_t>(n - 1));
     la::Matrix<T> q(n, n);
-    const double flops = z * 8.0 / 3.0 * double(n) * double(n) * double(n);
-    for (la::FactorKernel kern : kPolicies) {
-      ScopedPolicy scoped(la::factor_kernel_policy, kern);
-      const double s = best_seconds(reps_for(kern, n), [&] {
-        auto work = la::clone(a.cview());
-        la::hetrd_lower(work.view(), d, e, q.view());
-      });
-      record("hetrd", kern, n, flops, s);
-    }
-  }
-}
-
-template <typename T>
-void end_to_end(const char* type_name, Index m, Index n, Index rr_n,
-                int reps, std::vector<EndToEndRow>& out) {
-  auto print_row = [&](const EndToEndRow& r) {
-    std::printf("  %-9s %-15s m=%-6lld n=%-5lld naive %8.4fs  blocked "
-                "%8.4fs  ratio %.3f\n",
-                r.name, r.type, (long long)r.m, (long long)r.n,
-                r.naive_seconds, r.blocked_seconds, r.ratio);
-  };
-  // CholeskyQR2 on a tall block — HERK + POTRF + TRSM end to end.
-  {
-    auto x = random_mat<T>(m, n, 6);
-    double secs[2] = {0, 0};
-    for (int p = 0; p < 2; ++p) {
-      ScopedPolicy scoped(la::factor_kernel_policy, kPolicies[p]);
-      secs[p] = best_seconds(reps, [&] {
-        auto work = la::clone(x.cview());
-        const int info = qr::cholqr(work.view(), nullptr, 2);
-        if (info != 0) std::abort();
-      });
-    }
-    out.push_back({"cholqr2", type_name, m, n, secs[0], secs[1],
-                   secs[1] / secs[0]});
-    print_row(out.back());
-  }
-  // Rayleigh-Ritz HEEVD on the subspace quotient — HETRD dominates.
-  {
-    auto a = random_herm<T>(rr_n, 7);
-    std::vector<RealType<T>> w;
-    la::Matrix<T> zv(rr_n, rr_n);
-    double secs[2] = {0, 0};
-    for (int p = 0; p < 2; ++p) {
-      ScopedPolicy scoped(la::factor_kernel_policy, kPolicies[p]);
-      secs[p] = best_seconds(reps, [&] {
-        auto work = la::clone(a.cview());
-        la::heevd(work.view(), w, zv.view());
-      });
-    }
-    out.push_back({"rr_heevd", type_name, rr_n, rr_n, secs[0], secs[1],
-                   secs[1] / secs[0]});
-    print_row(out.back());
+    const double naive = bench::measure(0, naive_reps(n), [&] {
+      auto work = la::clone(a.cview());
+      la::factor::naive_hetrd_reduce(work.view(), d, e, taus);
+      la::factor::naive_hetrd_form_q(work.cview(), taus, q.view());
+    }).best;
+    const double blocked = bench::measure(0, kBlockedReps, [&] {
+      auto work = la::clone(a.cview());
+      la::hetrd_lower(work.view(), d, e, q.view());
+    }).best;
+    record("hetrd", n, z * 8.0 / 3.0 * double(n) * double(n) * double(n),
+           naive, blocked);
   }
 }
 
@@ -248,21 +174,10 @@ int main(int argc, char** argv) {
   const std::vector<Index> hetrd_ns =
       quick ? std::vector<Index>{64} : std::vector<Index>{256, 512};
 
-  std::printf("factorization policy sweep (writes %s)\n", path);
+  std::printf("factorization kernel sweep (writes %s)\n", path);
   std::vector<FactorRow> rows;
   sweep_factor<double>("double", ns, hetrd_ns, rows);
   sweep_factor<std::complex<double>>("complex<double>", ns, hetrd_ns, rows);
-
-  std::printf("end-to-end consumers (naive vs blocked policy)\n");
-  std::vector<EndToEndRow> e2e;
-  if (quick) {
-    end_to_end<double>("double", 512, 64, 96, 3, e2e);
-    end_to_end<std::complex<double>>("complex<double>", 512, 64, 96, 3, e2e);
-  } else {
-    end_to_end<double>("double", 4096, 256, 512, 3, e2e);
-    end_to_end<std::complex<double>>("complex<double>", 4096, 256, 512, 3,
-                                     e2e);
-  }
 
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
@@ -279,17 +194,6 @@ int main(int argc, char** argv) {
                  "\"n\": %lld, \"seconds\": %.6f, \"gflops\": %.3f}%s\n",
                  r.op, r.kernel, r.type, (long long)r.n, r.seconds, r.gflops,
                  i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"end_to_end\": [\n");
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    const auto& r = e2e[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"type\": \"%s\", \"m\": %lld, "
-                 "\"n\": %lld, \"naive_seconds\": %.6f, "
-                 "\"blocked_seconds\": %.6f, \"ratio\": %.4f}%s\n",
-                 r.name, r.type, (long long)r.m, (long long)r.n,
-                 r.naive_seconds, r.blocked_seconds, r.ratio,
-                 i + 1 < e2e.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

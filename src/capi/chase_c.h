@@ -98,11 +98,11 @@ const char* chase_get_precision(void);
  *
  * chase_profile_load reads a `chase_tune` machine profile (versioned JSON)
  * from `path`, schema- and fingerprint-checks it, and installs its dispatch
- * tables process-wide: subsequent solves draw GEMM/factorization kernels,
- * collective algorithms and the pipelining chunk size from the tuned
- * per-class tables. Explicit CHASE_* env overrides still beat the profile
- * (env > profile > built-in default). Equivalent to exporting
- * CHASE_PROFILE=path before the first solve.
+ * tables process-wide: subsequent solves draw collective algorithms and the
+ * pipelining chunk size from the tuned per-class tables, and the QR
+ * selector prices variants with the measured kernel rates. Explicit CHASE_*
+ * env overrides still beat the profile (env > profile > built-in default).
+ * Equivalent to exporting CHASE_PROFILE=path before the first solve.
  * Returns CHASE_SUCCESS, CHASE_INVALID_ARGUMENT for a NULL/empty path, or
  * CHASE_PROFILE_REJECTED when the file is unreadable, fails schema/version
  * validation, or was measured on a different machine. */

@@ -10,7 +10,7 @@
 // fails loudly at the first use of the knob instead of quietly running with
 // defaults.
 //
-// Enum and boolean knobs (CHASE_GEMM_KERNEL, CHASE_ABFT, ...) go through
+// Enum and boolean knobs (CHASE_COLL_ALGO, CHASE_ABFT, ...) go through
 // choice_env/boolean_env under the same contract: unknown text throws.
 //
 // Structured knobs (CHASE_TOPO's "2x4@inter_mbps=800" spec,

@@ -1,8 +1,7 @@
 // One runtime knob: a process-global value with an environment override.
 //
-// Every CHASE_* policy knob (GEMM and factor kernel, collective algorithm
-// and chunk size, precision, ABFT, checkpoint interval, watchdog timeout)
-// is one Policy<V>:
+// Every CHASE_* policy knob (collective algorithm and chunk size, precision,
+// ABFT, checkpoint interval, watchdog timeout) is one Policy<V>:
 //
 //   * a built-in default — a constant in the knob's definition;
 //   * one std::atomic override slot, filled from the knob's environment
@@ -11,8 +10,8 @@
 //     or by pin();
 //   * get() = the override when one is pinned, else the default.
 //
-// Domains with a machine-profile table (la::gemm_kernel_for,
-// coll::algorithm_for, ...) read pinned() first, then their table, then
+// Domains with a machine-profile table (coll::algorithm_for,
+// coll::chunk_bytes) read pinned() first, then their table, then
 // fallback(): env/pin > profile > built-in default (DESIGN.md §15).
 //
 // The hot read is one relaxed atomic load; the environment is consulted

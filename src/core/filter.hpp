@@ -20,11 +20,11 @@
 // selects its routine per call in src/coll and runs to completion before
 // the apply returns.
 //
-// The local multiply inside every apply runs the CHASE_GEMM_KERNEL policy
-// engine (src/la/gemm.hpp): diagonal ranks of the grid hold a Hermitian
-// block and dispatch to the symmetry-aware la::hemm (one-triangle reads,
-// packed-panel replay across column blocks), off-diagonal ranks run the
-// register-tiled gemm.
+// The local multiply inside every apply runs the micro-kernel engine
+// (src/la/gemm.hpp): diagonal ranks of the grid hold a Hermitian block and
+// dispatch to the symmetry-aware la::hemm (one-triangle reads, packed-panel
+// replay across column blocks), off-diagonal ranks run the register-tiled
+// gemm.
 #pragma once
 
 #include <algorithm>

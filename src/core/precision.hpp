@@ -1,8 +1,7 @@
 // Runtime precision policy for the solver pipeline.
 //
-// Like the kernel policies (src/la/gemm_policy.hpp, src/coll/engine.hpp),
-// the process picks one solve precision for every core::solve / solve_lms
-// call,
+// Like the collective policy (src/coll/engine.hpp), the process picks one
+// solve precision for every core::solve / solve_lms call,
 //
 //   CHASE_PRECISION = double | mixed   (default: double; unknown text throws
 //       env::ConfigError at first use)

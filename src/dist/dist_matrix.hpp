@@ -179,8 +179,7 @@ class DistHermitianMatrix {
 
     // Local multiply. Diagonal ranks dispatch to la::hemm — the local panel
     // is Hermitian, so H_loc^H == H_loc and both apply directions read only
-    // one triangle under the micro policy; off-diagonal ranks run the plain
-    // policy-selected gemm.
+    // one triangle; off-diagonal ranks run the plain gemm.
     if (local_hermitian_) {
       la::hemm(alpha, local_.view().as_const(), x, T(0), partial);
     } else {

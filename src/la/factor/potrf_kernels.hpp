@@ -14,13 +14,12 @@
 // triangle is exactly zero; on breakdown the LAPACK info index (j+1, global)
 // of the first non-positive-definite pivot is returned, with the relative
 // floor computed from the *original* diagonal in both shapes so structured
-// breakdowns report the same index under either policy.
+// breakdowns report the same index in either shape.
 #pragma once
 
 #include <cmath>
 
 #include "la/factor/herk_kernels.hpp"
-#include "la/factor/policy.hpp"
 #include "la/factor/trsm_kernels.hpp"
 #include "la/matrix.hpp"
 

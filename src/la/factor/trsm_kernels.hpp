@@ -1,23 +1,29 @@
 // Triangular solve / multiply kernels of the factorization engine.
 //
-// Each operation comes in two shapes (la/factor/policy.hpp):
+// Each operation comes in two shapes:
 //
-//   naive_*   — the seed scalar kernels, kept verbatim as oracles;
+//   naive_*   — the seed scalar kernels, kept verbatim as the oracles the
+//               tests and benches compare against;
 //   blocked_* — the triangle split into kFactorBlock-wide panels: the
 //               diagonal blocks run the naive kernel and every off-diagonal
 //               block is one GEMM, so all but O(n m nb) of the O(n^2 m) work
 //               rides the register-tiled micro engine.
 //
-// The public dispatchers live in la/trsm.hpp; these kernels are also called
-// directly by the blocked POTRF (panel solves) and the compact-WY larfb.
+// The public entry points in la/trsm.hpp run the blocked shape; the kernels
+// are also called directly by the blocked POTRF (panel solves).
 #pragma once
 
 #include "la/blas1.hpp"
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
 #include "la/matrix.hpp"
 
 namespace chase::la::factor {
+
+/// Panel width of every blocked factorization kernel. A triangle that fits
+/// in one panel runs the naive kernel directly, so subspace-sized
+/// factorizations (n_e <= 64) are bitwise the seed arithmetic and the
+/// blocked machinery only engages where the GEMM lowering pays.
+inline constexpr Index kFactorBlock = 64;
 
 /// X <- X * R^{-1}, R upper triangular (seed kernel: per-column axpy).
 template <typename T>

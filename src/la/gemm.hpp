@@ -2,26 +2,23 @@
 // computational workhorses of ChASE (Filter, Rayleigh-Ritz, Residuals,
 // CholeskyQR Gram matrices all reduce to these kernels).
 //
-// gemm() is a policy-dispatched engine (CHASE_GEMM_KERNEL, gemm_policy.hpp):
+// gemm() runs the five-loop BLIS-style engine with a register-tiled mr x nr
+// micro-kernel over packed micro-panels (gemm_micro.hpp). It folds the beta
+// pre-scale of C into its first k-panel pass instead of a separate full
+// sweep and packs through a per-thread reusable buffer pool, so the filter's
+// inner HEMM loop neither re-reads C an extra time nor allocates per call.
+// The unblocked triple loop detail::gemm_naive stays as the reference oracle
+// the tests and benches compare against.
 //
-//   naive   — unblocked triple loop, the reference oracle;
-//   micro   — five-loop BLIS-style engine with a register-tiled mr x nr
-//             micro-kernel over packed micro-panels (gemm_micro.hpp).
-//
-// micro folds the beta pre-scale of C into its first k-panel pass instead
-// of a separate full sweep and packs through a per-thread reusable buffer
-// pool, so the filter's inner HEMM loop neither re-reads C an extra time
-// nor allocates per call. Every call records its flop count,
-// wall time and kernel choice on the thread's perf::Tracker ("la.gemm.flops",
-// "la.gemm.seconds", "la.kernel.<name>.calls") — the measured Gflop/s feed
-// the machine-model calibration (perf::calibrate_gemm_rate).
+// Every call records its flop count and wall time on the thread's
+// perf::Tracker ("la.gemm.flops", "la.gemm.seconds") — the measured Gflop/s
+// feed the machine-model calibration (perf::calibrate_gemm_rate).
 #pragma once
 
 #include <vector>
 
 #include "common/timer.hpp"
 #include "la/gemm_micro.hpp"
-#include "la/gemm_policy.hpp"
 #include "la/matrix.hpp"
 #include "perf/tracker.hpp"
 
@@ -45,7 +42,7 @@ inline void scale_tile(T beta, Index mc, Index nc, T* c, Index ldc) {
 }
 
 /// Reference oracle: unblocked triple loop, no packing, no blocking. Slow by
-/// design — every other kernel policy is validated against it and the bench
+/// design — the micro engine is validated against it and the bench
 /// trajectory measures speedups from it.
 template <typename T>
 void gemm_naive(T alpha, Op opa, ConstMatrixView<T> a, Op opb,
@@ -73,17 +70,25 @@ inline double gemm_flop_count(Index m, Index n, Index k) {
 
 /// Record one engine call on the thread tracker: cumulative flops and wall
 /// seconds (their ratio is the achieved Gflop/s that calibrates the machine
-/// model) plus the per-kernel call counter.
-/// `single` splits the cumulative rate counters by storage precision
+/// model). `single` splits the counters by storage precision
 /// ("la.gemm32.*" for fp32/complex<float> calls), so the machine model can
 /// calibrate its double rate and its single-precision speedup independently
 /// (perf::MachineModel::calibrate_gemm / calibrate_single).
-inline void record_gemm_call(std::string_view kernel_counter, bool single,
-                             double flops, double seconds) {
+inline void record_gemm_call(bool single, double flops, double seconds) {
   if (auto* t = perf::thread_tracker()) {
     t->bump(single ? "la.gemm32.flops" : "la.gemm.flops", flops);
     t->bump(single ? "la.gemm32.seconds" : "la.gemm.seconds", seconds);
-    t->bump(kernel_counter, 1.0);
+  }
+}
+
+/// Record one factorization-engine call (TRSM/TRMM/POTRF/HERK/HETRD) under
+/// its counter family; MachineModel::calibrate_factor pools the families.
+inline void record_factor_call(std::string_view flops_counter,
+                               std::string_view seconds_counter, double flops,
+                               double seconds) {
+  if (auto* t = perf::thread_tracker()) {
+    t->bump(flops_counter, flops);
+    t->bump(seconds_counter, seconds);
   }
 }
 
@@ -106,21 +111,11 @@ void gemm(T alpha, Op opa, ConstMatrixView<T> a, Op opb, ConstMatrixView<T> b,
     return;
   }
 
-  const GemmKernel kernel = gemm_kernel_for(scalar_tag<T>(), m, n, k);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  switch (kernel) {
-    case GemmKernel::kNaive:
-      detail::gemm_naive(alpha, opa, a, opb, b, beta, c);
-      break;
-    case GemmKernel::kMicro:
-    default:
-      detail::gemm_micro(alpha, opa, a, opb, b, beta, c);
-      break;
-  }
+  detail::gemm_micro(alpha, opa, a, opb, b, beta, c);
   if (tracked) {
-    detail::record_gemm_call(gemm_kernel_counter(kernel),
-                             sizeof(RealType<T>) == 4,
+    detail::record_gemm_call(sizeof(RealType<T>) == 4,
                              detail::gemm_flop_count<T>(m, n, k),
                              timer.seconds());
   }
@@ -138,39 +133,30 @@ inline void gemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
 // The HERK kernels consume gemm(); the include is placed after the engine so
 // the pragma-once guard resolves the mutual include in either order.
 #include "la/factor/herk_kernels.hpp"
-#include "la/factor/policy.hpp"
 
 namespace chase::la {
 
 /// Hermitian rank-k update, upper triangle only:
 /// C_upper = alpha X^H X + beta C_upper.
 ///
-/// Policy dispatcher (CHASE_FACTOR_KERNEL): `naive` computes conjugated dot
-/// products, `blocked` lowers the off-diagonal tiles onto gemm
-/// (la/factor/herk_kernels.hpp). The lower triangle is never written — the
-/// HERK saving of half the GEMM flops. Callers that need the full matrix
-/// (la::gram) mirror afterwards; CholeskyQR consumes the upper triangle
-/// directly. Tracked calls record "la.herk.flops" / "la.herk.seconds" for
-/// the machine-model factorization-rate calibration.
+/// The off-diagonal tiles are lowered onto gemm (la/factor/herk_kernels.hpp;
+/// factor::naive_herk_upper is the oracle). The lower triangle is never
+/// written — the HERK saving of half the GEMM flops. Callers that need the
+/// full matrix (la::gram) mirror afterwards; CholeskyQR consumes the upper
+/// triangle directly. Tracked calls record "la.herk.flops" /
+/// "la.herk.seconds" for the machine-model factorization-rate calibration.
 template <typename T>
 void herk_upper(T alpha, ConstMatrixView<T> x, T beta, MatrixView<T> c) {
   const Index n = x.cols();
   CHASE_CHECK(c.rows() == n && c.cols() == n);
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_herk_upper(alpha, x, beta, c);
-  } else {
-    factor::naive_herk_upper(alpha, x, beta, c);
-  }
-  if (tracked && perf::thread_tracker() != nullptr) {
-    auto* t = perf::thread_tracker();
-    t->bump("la.herk.flops",
-            (kIsComplex<T> ? 4.0 : 1.0) * double(x.rows()) * double(n) *
-                double(n));
-    t->bump("la.herk.seconds", timer.seconds());
-    t->bump(factor_kernel_counter(kernel), 1.0);
+  factor::blocked_herk_upper(alpha, x, beta, c);
+  if (tracked) {
+    detail::record_factor_call(
+        "la.herk.flops", "la.herk.seconds",
+        (kIsComplex<T> ? 4.0 : 1.0) * double(x.rows()) * double(n) * double(n),
+        timer.seconds());
   }
 }
 

@@ -2,17 +2,16 @@
 // Hermitian — the shape of the Chebyshev filter's hot loop (H times a block
 // of vectors) and of every diagonal-rank panel in the distributed HEMM.
 //
-// Under the `micro` kernel policy this runs a symmetry-aware variant of the
-// five-loop engine (gemm_micro.hpp): only the *upper* triangle of A's
-// storage is read. The symmetric dimension is tiled into kc-deep k blocks;
-// for k block q the stored upper blocks supply the direct products
-// C_r += A_rq B_q (r < q0) straight, the diagonal block densified, and the
-// mirrored products C_r += A_qr^H B_q (r > q0) conjugate-transposed while
-// packing. Because every packed A panel derives from the one triangle, A is
-// packed exactly once per call and the packed panels are replayed for every
-// B column panel — gemm must re-pack op(A) per column panel, and that saved
-// re-pack (plus needing only one triangle valid) is the Hermitian engine's
-// advantage.
+// This is a symmetry-aware variant of the gemm five-loop engine
+// (gemm_micro.hpp): only the *upper* triangle of A's storage is read. The
+// symmetric dimension is tiled into kc-deep k blocks; for k block q the
+// stored upper blocks supply the direct products C_r += A_rq B_q (r < q0)
+// straight, the diagonal block densified, and the mirrored products
+// C_r += A_qr^H B_q (r > q0) conjugate-transposed while packing. Because
+// every packed A panel derives from the one triangle, A is packed exactly
+// once per call and the packed panels are replayed for every B column panel
+// — gemm must re-pack op(A) per column panel, and that saved re-pack (plus
+// needing only one triangle valid) is the Hermitian engine's advantage.
 //
 // Per output element the contributions arrive in ascending k order through
 // the same macro-kernel as gemm, so results are bitwise independent of how
@@ -20,9 +19,6 @@
 // operand holds to rounding, not bitwise: the compiler may contract the
 // complex multiply-accumulates differently in the two inlined
 // instantiations.)
-//
-// Under the `naive`/`blocked` policies hemm() simply forwards to gemm() so
-// those oracles stay byte-for-byte the seed behaviour.
 #pragma once
 
 #include <algorithm>
@@ -177,8 +173,8 @@ void hemm_micro(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
 
 }  // namespace detail
 
-/// C = alpha * A * B + beta * C with A Hermitian (full storage; under the
-/// micro policy only the upper triangle is read — see the header comment).
+/// C = alpha * A * B + beta * C with A Hermitian (full storage; only the
+/// upper triangle is read — see the header comment).
 template <typename T>
 void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
           MatrixView<T> c) {
@@ -192,19 +188,11 @@ void hemm(T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
     detail::scale_tile(beta, n, c.cols(), c.data(), c.ld());
     return;
   }
-  if (gemm_kernel_for(scalar_tag<T>(), n, c.cols(), n) != GemmKernel::kMicro) {
-    // Non-micro effective policies read the full storage through the plain
-    // engine (shape-aware, so a tuned profile routes small products the same
-    // way an explicit override would).
-    gemm(alpha, Op::kNoTrans, a, Op::kNoTrans, b, beta, c);
-    return;
-  }
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
   detail::hemm_micro(alpha, a, b, beta, c);
   if (tracked) {
-    detail::record_gemm_call("la.kernel.hemm.calls",
-                             sizeof(RealType<T>) == 4,
+    detail::record_gemm_call(sizeof(RealType<T>) == 4,
                              detail::gemm_flop_count<T>(n, c.cols(), n),
                              timer.seconds());
   }

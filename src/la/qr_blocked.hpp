@@ -6,7 +6,6 @@
 // robust fallback of Algorithm 4 without being hopeless on large panels.
 #pragma once
 
-#include "la/factor/policy.hpp"
 #include "la/gemm.hpp"
 #include "la/qr.hpp"
 #include "la/trsm.hpp"
@@ -18,10 +17,8 @@ namespace detail {
 /// Forward compact-WY T factor: H_0 ... H_{k-1} = I - V T V^H, with V the
 /// m x k unit-lower-trapezoidal reflector matrix and tau the scales.
 ///
-/// Policy dispatcher: the naive path accumulates V^H v_j column by column —
-/// starting the reduction at row j, where v_j's unit head sits, because the
-/// trapezoid is exactly zero above it — and the blocked path forms the full
-/// Gram block S = V^H V with one GEMM and reads the columns out of it.
+/// The full Gram block S = V^H V comes from one GEMM and the columns of T
+/// are read out of it.
 template <typename T>
 void larft(ConstMatrixView<T> v, const std::vector<T>& tau,
            MatrixView<T> t_out) {
@@ -29,29 +26,13 @@ void larft(ConstMatrixView<T> v, const std::vector<T>& tau,
   CHASE_CHECK(t_out.rows() == k && t_out.cols() == k);
   set_zero(t_out);
   if (k == 0) return;
-  const bool blocked = factor_kernel_for(k) == FactorKernel::kBlocked;
-  Matrix<T> s;
-  if (blocked) {
-    s.resize(k, k);
-    gemm(T(1), Op::kConjTrans, v, Op::kNoTrans, v, T(0), s.view());
-  }
+  Matrix<T> s(k, k);
+  gemm(T(1), Op::kConjTrans, v, Op::kNoTrans, v, T(0), s.view());
   for (Index j = 0; j < k; ++j) {
     const T tj = tau[std::size_t(j)];
     if (tj == T(0)) continue;
     // t(0:j, j) = -tau_j * T(0:j, 0:j) * (V(:, 0:j)^H v_j)
-    if (blocked) {
-      for (Index i = 0; i < j; ++i) t_out(i, j) = -tj * s(i, j);
-    } else {
-      for (Index i = 0; i < j; ++i) {
-        // v_j is zero above its unit head at row j, so the reduction starts
-        // there: acc = conj(v(j, i)) * 1 + sum_{r > j} conj(v(r, i)) v(r, j).
-        T acc = conjugate(v(j, i));
-        for (Index r = j + 1; r < v.rows(); ++r) {
-          acc += conjugate(v(r, i)) * v(r, j);
-        }
-        t_out(i, j) = -tj * acc;
-      }
-    }
+    for (Index i = 0; i < j; ++i) t_out(i, j) = -tj * s(i, j);
     // multiply by the leading triangle of T (in place, back to front)
     for (Index i = 0; i < j; ++i) {
       T acc(0);

@@ -1,16 +1,14 @@
 // Triangular solves and multiplies needed by the CholeskyQR family, the
 // compact-WY block reflectors and the direct solvers.
 //
-// Every entry point is a policy dispatcher (CHASE_FACTOR_KERNEL,
-// la/factor/policy.hpp): `naive` runs the seed scalar kernels, `blocked`
-// lowers the off-diagonal work onto la::gemm (la/factor/trsm_kernels.hpp).
-// Tracked calls record cumulative flops and wall seconds ("la.trsm.flops" /
-// "la.trsm.seconds", "la.trmm.*" for the multiplies) plus the per-policy
-// call counter — the measured Gflop/s feed MachineModel::calibrate_factor.
+// Every entry point runs the blocked kernel, which lowers the off-diagonal
+// work onto la::gemm (la/factor/trsm_kernels.hpp; the factor::naive_*
+// kernels there are the oracles). Tracked calls record cumulative flops and
+// wall seconds ("la.trsm.flops" / "la.trsm.seconds", "la.trmm.*" for the
+// multiplies) — the measured Gflop/s feed MachineModel::calibrate_factor.
 #pragma once
 
 #include "common/timer.hpp"
-#include "la/factor/policy.hpp"
 #include "la/factor/trsm_kernels.hpp"
 #include "la/matrix.hpp"
 #include "perf/tracker.hpp"
@@ -27,17 +25,6 @@ inline double trsm_flop_count(Index n, Index m) {
   return (kIsComplex<T> ? 4.0 : 1.0) * double(n) * double(n) * double(m);
 }
 
-inline void record_factor_call(std::string_view flops_counter,
-                               std::string_view seconds_counter,
-                               FactorKernel kernel, double flops,
-                               double seconds) {
-  if (auto* t = perf::thread_tracker()) {
-    t->bump(flops_counter, flops);
-    t->bump(seconds_counter, seconds);
-    t->bump(factor_kernel_counter(kernel), 1.0);
-  }
-}
-
 }  // namespace detail
 
 /// X <- X * R^{-1} with R upper triangular (right-side solve).
@@ -48,16 +35,11 @@ template <typename T>
 void trsm_right_upper(ConstMatrixView<T> r, MatrixView<T> x) {
   const Index n = r.rows();
   CHASE_CHECK(r.cols() == n && x.cols() == n);
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trsm_right_upper(r, x);
-  } else {
-    factor::naive_trsm_right_upper(r, x);
-  }
+  factor::blocked_trsm_right_upper(r, x);
   if (tracked) {
-    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds", kernel,
+    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds",
                                detail::trsm_flop_count<T>(n, x.rows()),
                                timer.seconds());
   }
@@ -68,16 +50,11 @@ template <typename T>
 void trsm_left_lower(ConstMatrixView<T> l, MatrixView<T> x) {
   const Index n = l.rows();
   CHASE_CHECK(l.cols() == n && x.rows() == n);
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trsm_left_lower(l, x);
-  } else {
-    factor::naive_trsm_left_lower(l, x);
-  }
+  factor::blocked_trsm_left_lower(l, x);
   if (tracked) {
-    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds", kernel,
+    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds",
                                detail::trsm_flop_count<T>(n, x.cols()),
                                timer.seconds());
   }
@@ -89,16 +66,11 @@ template <typename T>
 void trsm_left_upper_conj(ConstMatrixView<T> r, MatrixView<T> x) {
   const Index n = r.rows();
   CHASE_CHECK(r.cols() == n && x.rows() == n);
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trsm_left_upper_conj(r, x);
-  } else {
-    factor::naive_trsm_left_upper_conj(r, x);
-  }
+  factor::blocked_trsm_left_upper_conj(r, x);
   if (tracked) {
-    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds", kernel,
+    detail::record_factor_call("la.trsm.flops", "la.trsm.seconds",
                                detail::trsm_flop_count<T>(n, x.cols()),
                                timer.seconds());
   }
@@ -110,16 +82,11 @@ template <typename T>
 void trmm_right_upper(ConstMatrixView<T> r, MatrixView<T> x) {
   const Index n = r.rows();
   CHASE_CHECK(r.cols() == n && x.cols() == n);
-  const FactorKernel kernel = factor_kernel_for(n);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trmm_right_upper(r, x);
-  } else {
-    factor::naive_trmm_right_upper(r, x);
-  }
+  factor::blocked_trmm_right_upper(r, x);
   if (tracked) {
-    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds", kernel,
+    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds",
                                detail::trsm_flop_count<T>(n, x.rows()),
                                timer.seconds());
   }
@@ -132,16 +99,11 @@ template <typename T>
 void trmm_left_upper(ConstMatrixView<T> u, MatrixView<T> w) {
   const Index k = u.rows();
   CHASE_CHECK(u.cols() == k && w.rows() == k);
-  const FactorKernel kernel = factor_kernel_for(k);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trmm_left_upper(u, w);
-  } else {
-    factor::naive_trmm_left_upper(u, w);
-  }
+  factor::blocked_trmm_left_upper(u, w);
   if (tracked) {
-    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds", kernel,
+    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds",
                                detail::trsm_flop_count<T>(k, w.cols()),
                                timer.seconds());
   }
@@ -152,16 +114,11 @@ template <typename T>
 void trmm_left_upper_conj(ConstMatrixView<T> u, MatrixView<T> w) {
   const Index k = u.rows();
   CHASE_CHECK(u.cols() == k && w.rows() == k);
-  const FactorKernel kernel = factor_kernel_for(k);
   const bool tracked = perf::thread_tracker() != nullptr;
   WallTimer timer;
-  if (kernel == FactorKernel::kBlocked) {
-    factor::blocked_trmm_left_upper_conj(u, w);
-  } else {
-    factor::naive_trmm_left_upper_conj(u, w);
-  }
+  factor::blocked_trmm_left_upper_conj(u, w);
   if (tracked) {
-    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds", kernel,
+    detail::record_factor_call("la.trmm.flops", "la.trmm.seconds",
                                detail::trsm_flop_count<T>(k, w.cols()),
                                timer.seconds());
   }

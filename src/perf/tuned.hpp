@@ -1,19 +1,20 @@
 // Tuned dispatch tables: the low-level, dependency-free representation of a
 // loaded machine profile (src/tune).
 //
-// The autotuner benchmarks the registered kernels and collective algorithms
-// and persists the winners per shape/size class (DBCSR-style: tune once per
-// machine, dispatch from the table at runtime). The la and coll policy
-// layers cannot depend on src/tune (tune drives them), so the *data* lives
-// here in perf — plain ints keyed by the class enums below, with the
-// translation to la::GemmKernel / la::FactorKernel / coll::Algorithm done by
-// the consumers, and the installation done by tune::install_profile().
+// The autotuner benchmarks the collective algorithms and pipelining chunk
+// sizes, persists the winners per message-size class (DBCSR-style: tune once
+// per machine, dispatch from the table at runtime), and records the measured
+// dense-kernel rates that calibrate the selection MachineModel. The coll
+// layer cannot depend on src/tune (tune drives it), so the *data* lives here
+// in perf — plain ints keyed by the class enum below, with the translation
+// to coll::Algorithm done by the consumer, and the installation done by
+// tune::install_profile().
 //
 // Precedence contract (enforced by each consumer): an explicit override
-// (CHASE_* env var or a Scoped* policy guard) always wins; otherwise a
-// loaded profile's table entry; otherwise the built-in/build-time default.
-// A process that never loads a profile sees every entry unset and behaves
-// exactly as before the autotuner existed.
+// (the CHASE_* env var or a ScopedPolicy pin) always wins; otherwise a
+// loaded profile's table entry; otherwise the built-in default. A process
+// that never loads a profile sees every entry unset and behaves exactly as
+// before the autotuner existed.
 #pragma once
 
 #include <atomic>
@@ -23,28 +24,7 @@
 
 namespace chase::perf {
 
-// --- shape and size classes the tuned tables are keyed by ---
-
-/// Scalar storage type of a dense kernel call.
-enum class ScalarTag : int { kF32 = 0, kF64, kC32, kC64, kCount_ };
-inline constexpr int kScalarTagCount = int(ScalarTag::kCount_);
-
-const char* scalar_tag_name(ScalarTag t);
-
-/// Dense-kernel shape class, by the geometric-mean dimension of the
-/// product (cbrt(m*n*k) for GEMM, the triangular n for factorizations).
-/// Class boundaries match the tuner's representative sizes: it measures one
-/// size per class and the winner covers the class.
-enum class NClass : int { kSmall = 0, kMedium, kLarge, kCount_ };
-inline constexpr int kNClassCount = int(NClass::kCount_);
-
-const char* n_class_name(NClass c);
-
-/// Class of a GEMM-shaped product m x n x k.
-NClass gemm_n_class(double m, double n, double k);
-
-/// Class of a factorization on a triangular dimension n.
-NClass factor_n_class(long long n);
+// --- the size class the tuned tables are keyed by ---
 
 /// Collective message-size class (bytes follow the Tracker convention:
 /// per-rank payload for reduce/broadcast, total gathered for allgather).
@@ -56,14 +36,11 @@ MsgClass msg_class(std::size_t bytes);
 
 // --- the tables themselves ---
 
-/// One loaded profile's dispatch tables. Entries are the *int value* of the
-/// consumer-side enum (la::GemmKernel, la::FactorKernel, coll::Algorithm);
-/// -1 means "no tuned entry, fall through to the default". Rates are the
-/// measured machine rates (0 = unset) that calibrate the selection
-/// MachineModel.
+/// One loaded profile's dispatch tables. Entries are the *int value* of
+/// coll::Algorithm; -1 means "no tuned entry, fall through to the default".
+/// Rates are the measured machine rates (0 = unset) that calibrate the
+/// selection MachineModel.
 struct TunedTables {
-  int gemm_kernel[kScalarTagCount][kNClassCount];
-  int factor_kernel[kNClassCount];
   int coll_algo[kCollKindCount][kMsgClassCount];
   long long chunk_bytes = 0;  // 0 = unset
   double gemm_flops = 0;      // measured double GEMM rate (flops/s)
@@ -71,18 +48,16 @@ struct TunedTables {
   double single_speedup = 0;  // measured fp32/fp64 GEMM rate ratio
 
   TunedTables() {
-    for (auto& row : gemm_kernel) {
-      for (int& v : row) v = -1;
-    }
-    for (int& v : factor_kernel) v = -1;
     for (auto& row : coll_algo) {
       for (int& v : row) v = -1;
     }
   }
+
+  bool operator==(const TunedTables&) const = default;
 };
 
 /// The process-global tuned tables, or null when no profile is installed.
-/// One relaxed-ish atomic load — cheap enough for the per-call kernel
+/// One acquire load — cheap enough for the per-call collective
 /// dispatchers. The returned pointer stays valid for the process lifetime
 /// (replaced tables are retired, not freed).
 const TunedTables* tuned_tables();

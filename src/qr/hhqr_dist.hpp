@@ -14,7 +14,6 @@
 
 #include "comm/communicator.hpp"
 #include "dist/index_map.hpp"
-#include "la/factor/policy.hpp"
 #include "la/householder.hpp"
 #include "la/qr.hpp"
 #include "la/qr_blocked.hpp"
@@ -36,14 +35,9 @@ void hhqr_dist(la::MatrixView<T> x, const IndexMap& map,
   CHASE_CHECK_MSG(x.rows() == map.local_size(comm.rank()),
                   "hhqr_dist: local rows do not match the map");
   if (comm.size() == 1) {
-    // Single-rank fallback path: under the blocked factorization policy use
-    // the compact-WY blocked QR (panel + larft/larfb GEMM updates) instead
-    // of the per-reflector unblocked kernel.
-    if (la::factor_kernel_for(x.cols()) == la::FactorKernel::kBlocked) {
-      la::householder_orthonormalize_blocked(x);
-    } else {
-      la::householder_orthonormalize(x);
-    }
+    // Single-rank fallback path: the compact-WY blocked QR (panel +
+    // larft/larfb GEMM updates).
+    la::householder_orthonormalize_blocked(x);
     return;
   }
 

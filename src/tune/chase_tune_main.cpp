@@ -10,16 +10,16 @@
 // still win per the precedence contract.
 //
 // --check validates an existing profile instead of tuning: schema/version,
-// fingerprint-vs-this-host, and that the stored tables match what
-// derive_selections re-derives from the recorded measurements (the replay
-// invariant). Exit 0 iff all three hold.
+// fingerprint-vs-this-host, and that the stored collective tables, chunk
+// size and rates match what derive_selections re-derives from the recorded
+// measurements (the replay invariant). Exit 0 iff all three hold.
+// --kernels-only skips the collective probes and records the dense-kernel
+// rates alone.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "common/env.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/tuned.hpp"
 #include "tune/profile.hpp"
 #include "tune/tuner.hpp"
@@ -30,23 +30,6 @@ using namespace chase;
 
 void print_tables(const perf::TunedTables& t) {
   std::printf("tuned dispatch tables:\n");
-  for (int tag = 0; tag < perf::kScalarTagCount; ++tag) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      const int k = t.gemm_kernel[tag][c];
-      if (k < 0) continue;
-      std::printf("  gemm   %-2s %-7s -> %s\n",
-                  perf::scalar_tag_name(perf::ScalarTag(tag)),
-                  perf::n_class_name(perf::NClass(c)),
-                  la::gemm_kernel_name(la::GemmKernel(k)).data());
-    }
-  }
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    const int k = t.factor_kernel[c];
-    if (k < 0) continue;
-    std::printf("  factor    %-7s -> %s\n",
-                perf::n_class_name(perf::NClass(c)),
-                la::factor_kernel_name(la::FactorKernel(k)).data());
-  }
   static const char* kKinds[] = {"allreduce", "broadcast", "allgather"};
   static const char* kAlgos[] = {"naive", "ring", "tree", "hier", "auto"};
   for (int k = 0; k < perf::kCollKindCount; ++k) {
@@ -66,23 +49,6 @@ void print_tables(const perf::TunedTables& t) {
               t.gemm_flops, t.factor_flops, t.single_speedup);
 }
 
-bool tables_equal(const perf::TunedTables& a, const perf::TunedTables& b) {
-  for (int t = 0; t < perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      if (a.gemm_kernel[t][c] != b.gemm_kernel[t][c]) return false;
-    }
-  }
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    if (a.factor_kernel[c] != b.factor_kernel[c]) return false;
-  }
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      if (a.coll_algo[k][c] != b.coll_algo[k][c]) return false;
-    }
-  }
-  return a.chunk_bytes == b.chunk_bytes;
-}
-
 int check_profile(const std::string& path) {
   std::string error;
   const auto p = tune::load_profile(path, &error);
@@ -99,7 +65,7 @@ int check_profile(const std::string& path) {
                  p->fingerprint.host.c_str());
     ++failures;
   }
-  if (!tables_equal(p->tables, tune::derive_selections(p->measurements))) {
+  if (p->tables != tune::derive_selections(p->measurements)) {
     std::fprintf(stderr,
                  "chase_tune --check: stored tables do not match the "
                  "measurement log (replay invariant violated)\n");

@@ -8,8 +8,6 @@
 #include <thread>
 
 #include "coll/engine.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/machine.hpp"
 #include "perf/tracker.hpp"
 #include "tune/json.hpp"
@@ -40,10 +38,6 @@ int parse_named(const std::string& name, const char* (*namer)(int),
   return -1;
 }
 
-const char* tag_namer(int i) {
-  return perf::scalar_tag_name(perf::ScalarTag(i));
-}
-const char* nclass_namer(int i) { return perf::n_class_name(perf::NClass(i)); }
 const char* msg_namer(int i) {
   return perf::msg_class_name(perf::MsgClass(i));
 }
@@ -118,38 +112,8 @@ std::string encode_profile(const MachineProfile& p) {
     out += json::quote(m.unit);
     out += "}";
   }
-  out += "\n  ],\n  \"tables\": {\n    \"gemm_kernel\": [";
+  out += "\n  ],\n  \"tables\": {\n    \"coll_algo\": [";
   bool first = true;
-  for (int t = 0; t < perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      const int k = p.tables.gemm_kernel[t][c];
-      if (k < 0) continue;
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "      {\"type\": ";
-      out += json::quote(tag_namer(t));
-      out += ", \"nclass\": ";
-      out += json::quote(nclass_namer(c));
-      out += ", \"kernel\": ";
-      out += json::quote(la::gemm_kernel_name(la::GemmKernel(k)));
-      out += "}";
-    }
-  }
-  out += "\n    ],\n    \"factor_kernel\": [";
-  first = true;
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    const int k = p.tables.factor_kernel[c];
-    if (k < 0) continue;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "      {\"nclass\": ";
-    out += json::quote(nclass_namer(c));
-    out += ", \"kernel\": ";
-    out += json::quote(la::factor_kernel_name(la::FactorKernel(k)));
-    out += "}";
-  }
-  out += "\n    ],\n    \"coll_algo\": [";
-  first = true;
   for (int k = 0; k < perf::kCollKindCount; ++k) {
     for (int c = 0; c < perf::kMsgClassCount; ++c) {
       const int a = p.tables.coll_algo[k][c];
@@ -222,31 +186,9 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
 
   const json::Value* tables = doc->get("tables");
   if (tables == nullptr || !tables->is_object()) return fail("missing tables");
-  if (const json::Value* g = tables->get("gemm_kernel")) {
-    if (!g->is_array()) return fail("tables.gemm_kernel is not an array");
-    for (const json::Value& e : *g->array) {
-      if (!e.is_object()) return fail("malformed gemm_kernel entry");
-      const int t = parse_named(e.get_string("type").value_or(""), tag_namer,
-                                perf::kScalarTagCount);
-      const int c = parse_named(e.get_string("nclass").value_or(""),
-                                nclass_namer, perf::kNClassCount);
-      const auto k = la::parse_gemm_kernel(e.get_string("kernel").value_or(""));
-      if (t < 0 || c < 0 || !k) continue;  // unknown name: leave untuned
-      p.tables.gemm_kernel[t][c] = int(*k);
-    }
-  }
-  if (const json::Value* f = tables->get("factor_kernel")) {
-    if (!f->is_array()) return fail("tables.factor_kernel is not an array");
-    for (const json::Value& e : *f->array) {
-      if (!e.is_object()) return fail("malformed factor_kernel entry");
-      const int c = parse_named(e.get_string("nclass").value_or(""),
-                                nclass_namer, perf::kNClassCount);
-      const auto k =
-          la::parse_factor_kernel(e.get_string("kernel").value_or(""));
-      if (c < 0 || !k) continue;
-      p.tables.factor_kernel[c] = int(*k);
-    }
-  }
+  // Profiles written while the GEMM and factorization kernels were tunable
+  // also carry "gemm_kernel" / "factor_kernel" tables; each operation now
+  // has one kernel, so those tables are not read.
   if (const json::Value* a = tables->get("coll_algo")) {
     if (!a->is_array()) return fail("tables.coll_algo is not an array");
     for (const json::Value& e : *a->array) {

@@ -2,8 +2,8 @@
 //
 // A MachineProfile is what `chase_tune` persists and what CHASE_PROFILE
 // loads at solve start: the machine fingerprint the measurements were taken
-// on, the raw measurement log (every kernel/algorithm probed, so selections
-// can be re-derived deterministically without re-benchmarking —
+// on, the raw measurement log (every algorithm and rate probed, so
+// selections can be re-derived deterministically without re-benchmarking —
 // CHASE_TUNE_REPLAY), and the derived dispatch tables in the low-level
 // perf::TunedTables form the policy layers consume.
 //
@@ -11,13 +11,9 @@
 //
 //   {"schema": "chase.machine_profile", "version": 1,
 //    "fingerprint": {"host": "...", "cpu": "...", "threads": N},
-//    "measurements": [{"name": "gemm.d.n384.micro",
+//    "measurements": [{"name": "gemm.d.n768.micro",
 //                      "value": 1.23e9, "unit": "flop/s"}, ...],
-//    "tables": {"gemm_kernel":   [{"type": "d", "nclass": "small",
-//                                  "kernel": "micro"}, ...],
-//               "factor_kernel": [{"nclass": "small",
-//                                  "kernel": "blocked"}, ...],
-//               "coll_algo":     [{"kind": "allreduce", "msgclass": "small",
+//    "tables": {"coll_algo":     [{"kind": "allreduce", "msgclass": "small",
 //                                  "algo": "ring"}, ...],
 //               "chunk_bytes": 65536,
 //               "rates": {"gemm_flops": ..., "factor_flops": ...,
@@ -27,7 +23,8 @@
 // documents outright (the caller falls back to built-in defaults and bumps
 // "tune.profile.rejected"); unknown *enum names* inside the tables merely
 // leave that entry untuned, so a profile written by a newer build with more
-// kernels still loads on an older one.
+// algorithms still loads on an older one. The "gemm_kernel" and
+// "factor_kernel" tables of older version-1 profiles are ignored.
 #pragma once
 
 #include <optional>
@@ -59,7 +56,7 @@ struct Fingerprint {
 /// /proc/cpuinfo model name when readable, hardware_concurrency).
 Fingerprint local_fingerprint();
 
-/// One raw tuner measurement, e.g. {"gemm.d.n384.micro", 1.2e9, "flop/s"}.
+/// One raw tuner measurement, e.g. {"gemm.d.n768.micro", 1.2e9, "flop/s"}.
 struct RawMeasurement {
   std::string name;
   double value = 0;

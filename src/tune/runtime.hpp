@@ -11,7 +11,7 @@
 //      from the profile's recorded measurement log (tune::derive_selections)
 //      instead of trusting the stored tables — the deterministic-replay
 //      contract.
-//   2. Per solve, per policy domain (gemm / factor / coll / chunk), one
+//   2. Per solve, per tunable policy domain (coll / chunk), one
 //      provenance counter is bumped on the calling thread's tracker:
 //      "tune.source.env" when an explicit override is pinned,
 //      "tune.source.profile" when a loaded profile supplies the entry,

@@ -1,7 +1,7 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <complex>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -12,7 +12,6 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "la/gemm.hpp"
-#include "la/gemm_policy.hpp"
 #include "la/potrf.hpp"
 #include "la/trsm.hpp"
 #include "tune/measure.hpp"
@@ -22,12 +21,6 @@ namespace chase::tune {
 namespace {
 
 using la::Index;
-
-// A kernel whose small-size rate trails the small-size winner by more than
-// this factor is not re-measured at the larger classes (the seed naive GEMM
-// runs minutes-per-call at n ~ 1000; the pruning keeps full tuning runs in
-// seconds while the measurement log stays honest about what was probed).
-constexpr double kPruneFactor = 4.0;
 
 template <typename T>
 la::Matrix<T> random_mat(Index m, Index n, std::uint64_t seed) {
@@ -43,84 +36,49 @@ std::string size_token(const char* prefix, long long v) {
   return std::string(prefix) + std::to_string(v);
 }
 
-// --- GEMM probes: gemm.<tag>.n<size>.<kernel> = flop/s -------------------
+// --- rate probes: gemm.<tag>.n<size>.micro / factor.n<size>.blocked -----
+//
+// The production kernels: the rates they sustain calibrate the selection
+// MachineModel (perf::MachineModel::calibrate_from_tables).
 
 template <typename T>
-void probe_gemm(const TuneOptions& opts, const char* tag,
+void probe_gemm(Index n, const TuneOptions& opts, const char* tag,
                 std::vector<RawMeasurement>& out) {
-  constexpr la::GemmKernel kKernels[] = {la::GemmKernel::kNaive,
-                                         la::GemmKernel::kMicro};
-  const double z = kIsComplex<T> ? 8.0 : 2.0;
-  double small_best = 0;
-  double small_rate[2] = {0, 0};
-  for (std::size_t si = 0; si < opts.gemm_sizes.size(); ++si) {
-    const Index n = Index(opts.gemm_sizes[si]);
-    auto a = random_mat<T>(n, n, 1);
-    auto b = random_mat<T>(n, n, 2);
-    la::Matrix<T> c(n, n);
-    const double flops = z * double(n) * double(n) * double(n);
-    for (const la::GemmKernel kern : kKernels) {
-      if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
-        continue;  // pruned: decisively lost at the small size already
-      }
-      ScopedPolicy scoped(la::gemm_kernel_policy, kern);
-      const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
-        la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
-      });
-      if (si == 0) {
-        small_rate[int(kern)] = rate;
-        small_best = std::max(small_best, rate);
-      }
-      out.push_back({std::string("gemm.") + tag + "." + size_token("n", n) +
-                         "." + std::string(la::gemm_kernel_name(kern)),
-                     rate, "flop/s"});
-    }
-  }
+  auto a = random_mat<T>(n, n, 1);
+  auto b = random_mat<T>(n, n, 2);
+  la::Matrix<T> c(n, n);
+  const double flops = 2.0 * double(n) * double(n) * double(n);
+  const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
+    la::gemm(T(1), a.cview(), b.cview(), T(0), c.view());
+  });
+  out.push_back({std::string("gemm.") + tag + "." + size_token("n", n) +
+                     ".micro",
+                 rate, "flop/s"});
 }
 
-// --- factorization probes: factor.n<size>.<kernel> = flop/s --------------
-//
-// One composite per size: POTRF of a shifted Gram matrix plus the TRSM that
-// CholeskyQR applies afterwards — the level-3 path both kernels disagree on.
-
-void probe_factor(const TuneOptions& opts, std::vector<RawMeasurement>& out) {
+// One composite: POTRF of a shifted Gram matrix plus the TRSM that
+// CholeskyQR applies afterwards.
+void probe_factor(Index n, const TuneOptions& opts,
+                  std::vector<RawMeasurement>& out) {
   using T = double;
-  constexpr la::FactorKernel kKernels[] = {la::FactorKernel::kNaive,
-                                           la::FactorKernel::kBlocked};
-  double small_best = 0;
-  double small_rate[2] = {0, 0};
-  for (std::size_t si = 0; si < opts.factor_sizes.size(); ++si) {
-    const Index n = Index(opts.factor_sizes[si]);
-    auto g = random_mat<T>(n, n, 3);
-    // Symmetrize and shift: diagonally dominant, so POTRF never breaks down.
-    for (Index j = 0; j < n; ++j) {
-      for (Index i = 0; i < j; ++i) g(i, j) = g(j, i) = (g(i, j) + g(j, i)) / 2;
-      g(j, j) = std::abs(g(j, j)) + double(n);
-    }
-    auto b = random_mat<T>(n, n, 4);
-    la::Matrix<T> work(n, n), x(n, n);
-    // POTRF ~ n^3/3, TRSM ~ n^3: nominal composite flop count.
-    const double flops = (1.0 / 3.0 + 1.0) * double(n) * double(n) * double(n);
-    for (const la::FactorKernel kern : kKernels) {
-      if (si > 0 && small_rate[int(kern)] * kPruneFactor < small_best) {
-        continue;
-      }
-      ScopedPolicy scoped(la::factor_kernel_policy, kern);
-      const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
-        la::copy(g.cview(), work.view());
-        la::copy(b.cview(), x.view());
-        la::potrf_upper(work.view());
-        la::trsm_right_upper(work.cview(), x.view());
-      });
-      if (si == 0) {
-        small_rate[int(kern)] = rate;
-        small_best = std::max(small_best, rate);
-      }
-      out.push_back({std::string("factor.") + size_token("n", n) + "." +
-                         std::string(la::factor_kernel_name(kern)),
-                     rate, "flop/s"});
-    }
+  auto g = random_mat<T>(n, n, 3);
+  // Symmetrize and shift: diagonally dominant, so POTRF never breaks down.
+  for (Index j = 0; j < n; ++j) {
+    for (Index i = 0; i < j; ++i) g(i, j) = g(j, i) = (g(i, j) + g(j, i)) / 2;
+    g(j, j) = std::abs(g(j, j)) + double(n);
   }
+  auto b = random_mat<T>(n, n, 4);
+  la::Matrix<T> work(n, n), x(n, n);
+  // POTRF ~ n^3/3, TRSM ~ n^3: nominal composite flop count.
+  const double flops = (1.0 / 3.0 + 1.0) * double(n) * double(n) * double(n);
+  const double rate = measured_rate(flops, opts.warmup, opts.repeats, [&] {
+    la::copy(g.cview(), work.view());
+    la::copy(b.cview(), x.view());
+    la::potrf_upper(work.view());
+    la::trsm_right_upper(work.cview(), x.view());
+  });
+  out.push_back({std::string("factor.") + size_token("n", n) + ".blocked",
+                 rate, "flop/s"});
 }
 
 // --- collective probes: coll.<kind>.b<bytes>.p<ranks>.<algo> = seconds ---
@@ -244,11 +202,15 @@ long long numeric_token(const std::string& tok, char prefix) {
   return v;
 }
 
-int tag_index(const std::string& name) {
-  for (int i = 0; i < perf::kScalarTagCount; ++i) {
-    if (name == perf::scalar_tag_name(perf::ScalarTag(i))) return i;
-  }
-  return -1;
+// Kernel tokens the rate rule reads. Logs written while the tuner still
+// raced the seed kernels also carry naive rows, and the best row at the
+// largest size is the rate either way; rows of kernels that no longer exist
+// (the retired blocked GEMM) never count.
+bool gemm_rate_token(const std::string& k) {
+  return k == "micro" || k == "naive";
+}
+bool factor_rate_token(const std::string& k) {
+  return k == "blocked" || k == "naive";
 }
 
 int kind_index(const std::string& name) {
@@ -262,18 +224,8 @@ int kind_index(const std::string& name) {
 
 TuneOptions TuneOptions::with_defaults() const {
   TuneOptions o = *this;
-  if (o.gemm_sizes.empty()) {
-    // One representative per shape class (boundaries 192 / 640).
-    o.gemm_sizes = o.quick ? std::vector<long long>{64, 224, 672}
-                           : std::vector<long long>{96, 384, 768};
-  }
-  if (o.factor_sizes.empty()) {
-    // One per factorization class (boundaries 128 / 512). The small probe
-    // stays above the blocked kernel's n<=64 naive fallback so the two
-    // policies actually differ at the measured size.
-    o.factor_sizes = o.quick ? std::vector<long long>{96, 256, 640}
-                             : std::vector<long long>{96, 320, 768};
-  }
+  if (o.gemm_sizes.empty()) o.gemm_sizes = {o.quick ? 672 : 768};
+  if (o.factor_sizes.empty()) o.factor_sizes = {o.quick ? 640 : 768};
   if (o.coll_bytes.empty()) {
     // One per message-size class (boundaries 64 KiB / 1 MiB).
     o.coll_bytes = o.quick
@@ -312,11 +264,13 @@ MachineProfile run_tuning(const TuneOptions& opts_in) {
   const TuneOptions opts = opts_in.with_defaults();
   MachineProfile p;
   p.fingerprint = local_fingerprint();
-  probe_gemm<float>(opts, "f", p.measurements);
-  probe_gemm<double>(opts, "d", p.measurements);
-  probe_gemm<std::complex<float>>(opts, "c", p.measurements);
-  probe_gemm<std::complex<double>>(opts, "z", p.measurements);
-  probe_factor(opts, p.measurements);
+  for (const long long n : opts.gemm_sizes) {
+    probe_gemm<float>(Index(n), opts, "f", p.measurements);
+    probe_gemm<double>(Index(n), opts, "d", p.measurements);
+  }
+  for (const long long n : opts.factor_sizes) {
+    probe_factor(Index(n), opts, p.measurements);
+  }
   if (!opts.skip_collectives) probe_collectives(opts, p.measurements);
   p.tables = derive_selections(p.measurements);
   return p;
@@ -327,13 +281,7 @@ perf::TunedTables derive_selections(
   perf::TunedTables t;
   // Winner accumulators: first-measured strictly-better wins, so replaying
   // the same log reproduces the same tables.
-  double gemm_best[perf::kScalarTagCount][perf::kNClassCount];
-  double factor_best[perf::kNClassCount];
   double coll_best[perf::kCollKindCount][perf::kMsgClassCount];
-  for (auto& row : gemm_best) {
-    for (double& v : row) v = 0;
-  }
-  for (double& v : factor_best) v = 0;
   for (auto& row : coll_best) {
     for (double& v : row) v = std::numeric_limits<double>::infinity();
   }
@@ -345,37 +293,21 @@ perf::TunedTables derive_selections(
   for (const RawMeasurement& m : measurements) {
     const auto parts = split_dots(m.name);
     if (parts.size() == 4 && parts[0] == "gemm") {
-      const int tag = tag_index(parts[1]);
-      const long long n = numeric_token(parts[2], 'n');
-      const auto kern = la::parse_gemm_kernel(parts[3]);
-      if (tag < 0 || n <= 0 || !kern) continue;
-      const int cls =
-          int(perf::gemm_n_class(double(n), double(n), double(n)));
-      if (m.value > gemm_best[tag][cls]) {
-        gemm_best[tag][cls] = m.value;
-        t.gemm_kernel[tag][cls] = int(*kern);
-      }
       const bool is_d = parts[1] == "d";
       const bool is_f = parts[1] == "f";
-      if (is_d || is_f) {
-        if (n > gemm_rate_size) {
-          gemm_rate_size = n;
-          gemm_d_rate = gemm_f_rate = 0;
-        }
-        if (n == gemm_rate_size) {
-          if (is_d) gemm_d_rate = std::max(gemm_d_rate, m.value);
-          if (is_f) gemm_f_rate = std::max(gemm_f_rate, m.value);
-        }
+      const long long n = numeric_token(parts[2], 'n');
+      if (!(is_d || is_f) || n <= 0 || !gemm_rate_token(parts[3])) continue;
+      if (n > gemm_rate_size) {
+        gemm_rate_size = n;
+        gemm_d_rate = gemm_f_rate = 0;
+      }
+      if (n == gemm_rate_size) {
+        if (is_d) gemm_d_rate = std::max(gemm_d_rate, m.value);
+        if (is_f) gemm_f_rate = std::max(gemm_f_rate, m.value);
       }
     } else if (parts.size() == 3 && parts[0] == "factor") {
       const long long n = numeric_token(parts[1], 'n');
-      const auto kern = la::parse_factor_kernel(parts[2]);
-      if (n <= 0 || !kern) continue;
-      const int cls = int(perf::factor_n_class(n));
-      if (m.value > factor_best[cls]) {
-        factor_best[cls] = m.value;
-        t.factor_kernel[cls] = int(*kern);
-      }
+      if (n <= 0 || !factor_rate_token(parts[2])) continue;
       if (n > factor_rate_size) {
         factor_rate_size = n;
         factor_rate = 0;

@@ -16,8 +16,6 @@
 #include "common/env.hpp"
 #include "common/policy.hpp"
 #include "core/precision.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/tracker.hpp"
 #include "tune/runtime.hpp"
 
@@ -100,10 +98,6 @@ void expect_nested_restore(Policy<V>& p, V outer, V inner) {
 }
 
 TEST(Policy, NestedGuardsRestoreTheOuterValueForEveryKnob) {
-  expect_nested_restore(la::gemm_kernel_policy, la::GemmKernel::kNaive,
-                        la::GemmKernel::kMicro);
-  expect_nested_restore(la::factor_kernel_policy, la::FactorKernel::kNaive,
-                        la::FactorKernel::kBlocked);
   expect_nested_restore(coll::algorithm_policy, coll::Algorithm::kRing,
                         coll::Algorithm::kTree);
   expect_nested_restore(coll::chunk_bytes_policy, std::size_t(4096),
@@ -118,8 +112,6 @@ TEST(Policy, NestedGuardsRestoreTheOuterValueForEveryKnob) {
 
 TEST(Policy, GuardOverUnpinnedKnobRestoresNotOverridden) {
   {
-    ScopedPolicy gemm(la::gemm_kernel_policy, la::GemmKernel::kNaive);
-    ScopedPolicy factor(la::factor_kernel_policy, la::FactorKernel::kNaive);
     ScopedPolicy algo(coll::algorithm_policy, coll::Algorithm::kRing);
     ScopedPolicy chunk(coll::chunk_bytes_policy, std::size_t(4096));
     ScopedPolicy precision(core::precision_policy, core::Precision::kMixed);
@@ -127,8 +119,6 @@ TEST(Policy, GuardOverUnpinnedKnobRestoresNotOverridden) {
     ScopedPolicy interval(ckpt::interval_policy, 2);
     ScopedPolicy watchdog(comm::watchdog_policy, std::chrono::milliseconds(9));
   }
-  EXPECT_FALSE(la::gemm_kernel_policy.overridden());
-  EXPECT_FALSE(la::factor_kernel_policy.overridden());
   EXPECT_FALSE(coll::algorithm_policy.overridden());
   EXPECT_FALSE(coll::chunk_bytes_policy.overridden());
   EXPECT_FALSE(core::precision_policy.overridden());
@@ -136,8 +126,6 @@ TEST(Policy, GuardOverUnpinnedKnobRestoresNotOverridden) {
   EXPECT_FALSE(ckpt::interval_policy.overridden());
   EXPECT_FALSE(comm::watchdog_policy.overridden());
 
-  EXPECT_EQ(la::gemm_kernel_policy.get(), la::GemmKernel::kMicro);
-  EXPECT_EQ(la::factor_kernel_policy.get(), la::FactorKernel::kBlocked);
   EXPECT_EQ(coll::algorithm_policy.get(), coll::Algorithm::kNaive);
   EXPECT_EQ(coll::chunk_bytes_policy.get(), std::size_t(64) << 10);
   EXPECT_EQ(core::precision_policy.get(), core::Precision::kDouble);
@@ -150,7 +138,7 @@ TEST(Policy, GuardOverUnpinnedKnobRestoresNotOverridden) {
   tune::record_provenance();
   perf::set_thread_tracker(nullptr);
   EXPECT_EQ(tracker.counter("tune.source.env"), 0.0);
-  EXPECT_EQ(tracker.counter("tune.source.default"), 4.0);
+  EXPECT_EQ(tracker.counter("tune.source.default"), 2.0);
 }
 
 }  // namespace

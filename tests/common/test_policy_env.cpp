@@ -12,8 +12,6 @@
 #include "common/env.hpp"
 #include "common/policy.hpp"
 #include "core/precision.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 
 namespace chase {
 namespace {
@@ -31,14 +29,6 @@ void expect_rejected(const Policy<V>& p, const std::string& text) {
     EXPECT_NE(what.find(p.var()), std::string::npos) << what;
     EXPECT_NE(what.find("\"" + text + "\""), std::string::npos) << what;
   }
-}
-
-TEST(PolicyEnv, GemmKernelTypoIsRejected) {
-  expect_rejected(la::gemm_kernel_policy, "mcro");
-}
-
-TEST(PolicyEnv, FactorKernelTypoIsRejected) {
-  expect_rejected(la::factor_kernel_policy, "blokced");
 }
 
 TEST(PolicyEnv, PrecisionTypoIsRejected) {

@@ -95,16 +95,18 @@ TEST_F(TuneEnvTest, InvalidValuesThrowNamingTheVariable) {
 TEST_F(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
   TuneOptions o;
   const TuneOptions full = o.with_defaults();
-  EXPECT_EQ(full.gemm_sizes.size(), 3u);
-  EXPECT_EQ(full.factor_sizes.size(), 3u);
+  // One size each for the rate probes (the rates read the largest size),
+  // one per message class for the collectives.
+  EXPECT_EQ(full.gemm_sizes.size(), 1u);
+  EXPECT_EQ(full.factor_sizes.size(), 1u);
   EXPECT_EQ(full.coll_bytes.size(), 3u);
   o.quick = true;
   const TuneOptions quick = o.with_defaults();
-  EXPECT_EQ(quick.gemm_sizes.size(), 3u);
+  EXPECT_EQ(quick.gemm_sizes.size(), 1u);
   EXPECT_LT(quick.gemm_sizes.back(), full.gemm_sizes.back());
   // Explicit lists are preserved untouched.
-  o.gemm_sizes = {48};
-  EXPECT_EQ(o.with_defaults().gemm_sizes.size(), 1u);
+  o.gemm_sizes = {48, 96};
+  EXPECT_EQ(o.with_defaults().gemm_sizes.size(), 2u);
 }
 
 }  // namespace

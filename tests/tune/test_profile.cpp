@@ -1,6 +1,7 @@
 // Machine-profile wire format: round-trip, schema/version gating, corrupt
-// input rejection, fingerprint gating, and the deterministic derivation of
-// dispatch tables from a raw measurement log.
+// input rejection, fingerprint gating, legacy kernel tables, and the
+// deterministic derivation of dispatch tables and rates from a raw
+// measurement log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,10 +10,11 @@
 #include <string>
 
 #include "coll/engine.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
+#include "core/sequential.hpp"
 #include "perf/tracker.hpp"
 #include "perf/tuned.hpp"
+#include "tests/testing.hpp"
+#include "tune/json.hpp"
 #include "tune/profile.hpp"
 #include "tune/tuner.hpp"
 
@@ -22,14 +24,9 @@ namespace {
 MachineProfile sample_profile() {
   MachineProfile p;
   p.fingerprint = local_fingerprint();
-  p.measurements.push_back({"gemm.d.n96.naive", 1.5e9, "flop/s"});
-  p.measurements.push_back({"gemm.d.n96.micro", 6.25e9, "flop/s"});
+  p.measurements.push_back({"gemm.f.n768.micro", 1.125e10, "flop/s"});
+  p.measurements.push_back({"gemm.d.n768.micro", 6.25e9, "flop/s"});
   p.measurements.push_back({"coll.allreduce.b16384.p4.ring", 1.25e-5, "s"});
-  p.tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                      [int(perf::NClass::kSmall)] =
-      int(la::GemmKernel::kMicro);
-  p.tables.factor_kernel[int(perf::NClass::kLarge)] =
-      int(la::FactorKernel::kBlocked);
   p.tables.coll_algo[int(perf::CollKind::kAllReduce)]
                     [int(perf::MsgClass::kSmallMsg)] =
       int(coll::Algorithm::kRing);
@@ -57,24 +54,24 @@ TEST_F(ProfileTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(back->fingerprint.cpu, p.fingerprint.cpu);
   EXPECT_EQ(back->fingerprint.threads, p.fingerprint.threads);
   ASSERT_EQ(back->measurements.size(), p.measurements.size());
-  EXPECT_EQ(back->measurements[1].name, "gemm.d.n96.micro");
+  EXPECT_EQ(back->measurements[1].name, "gemm.d.n768.micro");
   EXPECT_DOUBLE_EQ(back->measurements[1].value, 6.25e9);
   EXPECT_EQ(back->measurements[1].unit, "flop/s");
-  EXPECT_EQ(back->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                    [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(back->tables.factor_kernel[int(perf::NClass::kLarge)],
-            int(la::FactorKernel::kBlocked));
   EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kAllReduce)]
                                   [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(back->tables.chunk_bytes, 128 << 10);
   EXPECT_DOUBLE_EQ(back->tables.gemm_flops, 6.25e9);
+  EXPECT_DOUBLE_EQ(back->tables.factor_flops, 3.5e9);
   EXPECT_DOUBLE_EQ(back->tables.single_speedup, 1.8);
   // Untouched entries stay unset.
-  EXPECT_EQ(back->tables.gemm_kernel[int(perf::ScalarTag::kF32)]
-                                    [int(perf::NClass::kSmall)],
+  EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kBroadcast)]
+                                  [int(perf::MsgClass::kSmallMsg)],
             -1);
+  // The encoder writes no kernel tables any more.
+  const std::string text = encode_profile(p);
+  EXPECT_EQ(text.find("gemm_kernel"), std::string::npos);
+  EXPECT_EQ(text.find("factor_kernel"), std::string::npos);
 }
 
 TEST_F(ProfileTest, FileRoundTrip) {
@@ -133,39 +130,39 @@ TEST_F(ProfileTest, RejectsIncompleteFingerprint) {
 }
 
 TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
-  // A profile written by a hypothetical newer build with more kernels must
-  // still load here; the unknown entries just stay -1.
+  // A profile written by a hypothetical newer build with more algorithms
+  // must still load here; the unknown entries just stay -1.
   const auto p = decode_profile(
       R"({"schema": "chase.machine_profile", "version": 1,
           "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
           "measurements": [],
-          "tables": {"gemm_kernel": [
-                       {"type": "d", "nclass": "small", "kernel": "warp9"},
-                       {"type": "q", "nclass": "small", "kernel": "micro"},
-                       {"type": "d", "nclass": "large", "kernel": "micro"}],
-                     "factor_kernel": [
-                       {"nclass": "small", "kernel": "gpu"}],
-                     "coll_algo": [
-                       {"kind": "scan", "msgclass": "small", "algo": "ring"}],
+          "tables": {"coll_algo": [
+                       {"kind": "allreduce", "msgclass": "small",
+                        "algo": "warp9"},
+                       {"kind": "scan", "msgclass": "small", "algo": "ring"},
+                       {"kind": "allreduce", "msgclass": "huge",
+                        "algo": "ring"},
+                       {"kind": "broadcast", "msgclass": "large",
+                        "algo": "tree"}],
                      "chunk_bytes": 0,
                      "rates": {}}})");
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kSmall)],
-            -1);
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)], -1);
-  for (const auto& row : p->tables.coll_algo) {
-    for (const int v : row) EXPECT_EQ(v, -1);
+  for (int k = 0; k < perf::kCollKindCount; ++k) {
+    for (int c = 0; c < perf::kMsgClassCount; ++c) {
+      const bool tuned = k == int(perf::CollKind::kBroadcast) &&
+                         c == int(perf::MsgClass::kLargeMsg);
+      EXPECT_EQ(p->tables.coll_algo[k][c],
+                tuned ? int(coll::Algorithm::kTree) : -1)
+          << "kind " << k << " class " << c;
+    }
   }
 }
 
 TEST_F(ProfileTest, RetiredBlockedGemmKernelLoadsUntuned) {
-  // Profiles written before the `blocked` GEMM kernel was removed still
-  // load: those entries stay untuned (built-in default), while `blocked`
-  // remains a live factor kernel.
+  // A profile written while the kernels were tunable — including an entry
+  // for the `blocked` GEMM kernel, retired even before that — still loads:
+  // its kernel tables are skipped, while the collective table, chunk size,
+  // rates and the measurement log come through.
   const auto p = decode_profile(
       R"({"schema": "chase.machine_profile", "version": 1,
           "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
@@ -176,19 +173,99 @@ TEST_F(ProfileTest, RetiredBlockedGemmKernelLoadsUntuned) {
                        {"type": "d", "nclass": "large", "kernel": "micro"}],
                      "factor_kernel": [
                        {"nclass": "small", "kernel": "blocked"}],
-                     "chunk_bytes": 0,
-                     "rates": {}}})");
+                     "coll_algo": [
+                       {"kind": "allgather", "msgclass": "medium",
+                        "algo": "ring"}],
+                     "chunk_bytes": 32768,
+                     "rates": {"gemm_flops": 5e9, "factor_flops": 2e9,
+                               "single_speedup": 1.5}}})");
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kSmall)],
-            -1);
-  EXPECT_EQ(p->tables.gemm_kernel[int(perf::ScalarTag::kF64)]
-                                 [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(p->tables.factor_kernel[int(perf::NClass::kSmall)],
-            int(la::FactorKernel::kBlocked));
+  EXPECT_EQ(p->tables.coll_algo[int(perf::CollKind::kAllGather)]
+                               [int(perf::MsgClass::kMediumMsg)],
+            int(coll::Algorithm::kRing));
+  EXPECT_EQ(p->tables.chunk_bytes, 32768);
+  EXPECT_DOUBLE_EQ(p->tables.gemm_flops, 5e9);
+  EXPECT_DOUBLE_EQ(p->tables.factor_flops, 2e9);
+  EXPECT_DOUBLE_EQ(p->tables.single_speedup, 1.5);
   ASSERT_EQ(p->measurements.size(), 1u);
   EXPECT_EQ(p->measurements[0].name, "gemm.d.n96.blocked");
+  // The retired kernel's row never feeds a rate on replay.
+  EXPECT_EQ(derive_selections(p->measurements).gemm_flops, 0);
+}
+
+TEST_F(ProfileTest, LegacyKernelTablesAreIgnored) {
+  // A version-1 profile for this machine whose kernel tables name the seed
+  // kernels for every class — what a tuning run on a loaded host could have
+  // written. Only the collective table, chunk size and rates are read, so a
+  // solve under it is bitwise the profile-less solve.
+  const Fingerprint fp = local_fingerprint();
+  std::string gemm_rows, factor_rows;
+  for (const char* type : {"f", "d", "c", "z"}) {
+    for (const char* cls : {"small", "medium", "large"}) {
+      gemm_rows += std::string(gemm_rows.empty() ? "" : ", ") +
+                   "{\"type\": \"" + type + "\", \"nclass\": \"" + cls +
+                   "\", \"kernel\": \"naive\"}";
+    }
+  }
+  for (const char* cls : {"small", "medium", "large"}) {
+    factor_rows += std::string(factor_rows.empty() ? "" : ", ") +
+                   "{\"nclass\": \"" + cls + "\", \"kernel\": \"naive\"}";
+  }
+  const std::string text =
+      R"({"schema": "chase.machine_profile", "version": 1,
+          "fingerprint": {"host": )" +
+      json::quote(fp.host) + R"(, "cpu": )" + json::quote(fp.cpu) +
+      R"(, "threads": )" + std::to_string(fp.threads) + R"(},
+          "measurements": [],
+          "tables": {"gemm_kernel": [)" +
+      gemm_rows + R"(],
+                     "factor_kernel": [)" +
+      factor_rows + R"(],
+                     "coll_algo": [{"kind": "allreduce",
+                                    "msgclass": "small", "algo": "tree"}],
+                     "chunk_bytes": 131072,
+                     "rates": {"gemm_flops": 4e9, "factor_flops": 1.5e9,
+                               "single_speedup": 1.75}}})";
+  std::string error;
+  const auto p = decode_profile(text, &error);
+  ASSERT_TRUE(p.has_value()) << error;
+  EXPECT_EQ(p->tables.coll_algo[int(perf::CollKind::kAllReduce)]
+                               [int(perf::MsgClass::kSmallMsg)],
+            int(coll::Algorithm::kTree));
+  EXPECT_EQ(p->tables.chunk_bytes, 131072);
+  EXPECT_DOUBLE_EQ(p->tables.gemm_flops, 4e9);
+  EXPECT_DOUBLE_EQ(p->tables.factor_flops, 1.5e9);
+  EXPECT_DOUBLE_EQ(p->tables.single_speedup, 1.75);
+
+  const auto h = testing::random_hermitian<double>(96, 7);
+  core::ChaseConfig cfg;
+  cfg.nev = 12;
+  cfg.nex = 6;
+  const auto plain = core::solve_sequential<double>(h.view(), cfg);
+  ASSERT_TRUE(plain.converged);
+
+  ASSERT_TRUE(install_profile(*p));
+  const perf::TunedTables* t = perf::tuned_tables();
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->chunk_bytes, 131072);
+  EXPECT_DOUBLE_EQ(t->gemm_flops, 4e9);
+  const auto tuned = core::solve_sequential<double>(h.view(), cfg);
+  uninstall_profile();
+  ASSERT_TRUE(tuned.converged);
+
+  EXPECT_EQ(tuned.matvecs, plain.matvecs);
+  ASSERT_EQ(tuned.eigenvalues.size(), plain.eigenvalues.size());
+  for (std::size_t i = 0; i < plain.eigenvalues.size(); ++i) {
+    EXPECT_EQ(tuned.eigenvalues[i], plain.eigenvalues[i]) << "i=" << i;
+  }
+  ASSERT_EQ(tuned.eigenvectors.rows(), plain.eigenvectors.rows());
+  ASSERT_EQ(tuned.eigenvectors.cols(), plain.eigenvectors.cols());
+  for (la::Index j = 0; j < plain.eigenvectors.cols(); ++j) {
+    for (la::Index i = 0; i < plain.eigenvectors.rows(); ++i) {
+      ASSERT_EQ(tuned.eigenvectors(i, j), plain.eigenvectors(i, j))
+          << "(" << i << ", " << j << ")";
+    }
+  }
 }
 
 TEST_F(ProfileTest, InstallRejectsForeignFingerprintAndCounts) {
@@ -224,12 +301,15 @@ TEST_F(ProfileTest, InstallSkipsFingerprintCheckWhenAsked) {
 
 TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
   std::vector<RawMeasurement> log = {
-      {"gemm.d.n96.naive", 1e9, "flop/s"},
-      {"gemm.d.n96.micro", 4e9, "flop/s"},
+      {"gemm.f.n96.micro", 9e9, "flop/s"},
+      {"gemm.d.n96.micro", 7e9, "flop/s"},
+      {"gemm.d.n700.naive", 1e9, "flop/s"},
       {"gemm.d.n700.micro", 8e9, "flop/s"},
-      {"gemm.d.n700.blocked", 3e9, "flop/s"},
+      {"gemm.f.n700.micro", 1.2e10, "flop/s"},
+      {"gemm.z.n900.micro", 2e10, "flop/s"},  // complex rows feed no rate
       {"factor.n96.naive", 2e9, "flop/s"},
-      {"factor.n96.blocked", 1e9, "flop/s"},
+      {"factor.n640.naive", 1e9, "flop/s"},
+      {"factor.n640.blocked", 3e9, "flop/s"},
       {"coll.allreduce.b16384.p4.naive", 2e-5, "s"},
       {"coll.allreduce.b16384.p4.ring", 1e-5, "s"},
       {"chunk.allreduce.b4194304.c16384", 3e-3, "s"},
@@ -237,94 +317,76 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
       {"chunk.allreduce.b4194304.c262144", 2e-3, "s"},
   };
   const perf::TunedTables t = derive_selections(log);
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kLarge)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(t.factor_kernel[int(perf::NClass::kSmall)],
-            int(la::FactorKernel::kNaive));
+  // Rates: the best row at the largest measured size.
+  EXPECT_EQ(t.gemm_flops, 8e9);
+  EXPECT_EQ(t.single_speedup, 1.2e10 / 8e9);
+  EXPECT_EQ(t.factor_flops, 3e9);
   EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
                        [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(t.chunk_bytes, 64 << 10);
   // Unmeasured classes stay unset.
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kMedium)],
+  EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
+                       [int(perf::MsgClass::kMediumMsg)],
             -1);
-  EXPECT_EQ(t.factor_kernel[int(perf::NClass::kLarge)], -1);
 }
 
 TEST(DeriveSelections, ReplayIgnoresRetiredBlockedGemmRows) {
-  // An old measurement log where `blocked` GEMM rows win: replay skips
-  // them (including for the model rate) and keeps the best live kernel.
+  // An old measurement log where `blocked` GEMM rows are the fastest and
+  // the largest: replay skips them for the model rate.
   std::vector<RawMeasurement> log = {
       {"gemm.d.n96.naive", 1e9, "flop/s"},
       {"gemm.d.n96.blocked", 9e9, "flop/s"},
       {"gemm.d.n96.micro", 4e9, "flop/s"},
       {"gemm.d.n700.blocked", 9e9, "flop/s"},
   };
-  const perf::TunedTables t = derive_selections(log);
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
-  EXPECT_EQ(t.gemm_kernel[int(perf::ScalarTag::kF64)]
-                         [int(perf::NClass::kLarge)],
-            -1);
-  EXPECT_EQ(t.gemm_flops, 4e9);
+  EXPECT_EQ(derive_selections(log).gemm_flops, 4e9);
 }
 
 TEST(DeriveSelections, FirstMeasuredWinsTies) {
   std::vector<RawMeasurement> log = {
-      {"gemm.d.n96.naive", 2e9, "flop/s"},
-      {"gemm.d.n96.micro", 2e9, "flop/s"},
+      {"coll.broadcast.b16384.p4.tree", 2e-5, "s"},
+      {"coll.broadcast.b16384.p4.ring", 2e-5, "s"},
+      {"chunk.allreduce.b4194304.c65536", 1e-3, "s"},
+      {"chunk.allreduce.b4194304.c16384", 1e-3, "s"},
   };
-  EXPECT_EQ(derive_selections(log)
-                .gemm_kernel[int(perf::ScalarTag::kF64)]
-                            [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kNaive));
+  const perf::TunedTables t = derive_selections(log);
+  EXPECT_EQ(t.coll_algo[int(perf::CollKind::kBroadcast)]
+                       [int(perf::MsgClass::kSmallMsg)],
+            int(coll::Algorithm::kTree));
+  EXPECT_EQ(t.chunk_bytes, 64 << 10);
 }
 
 TEST(DeriveSelections, IgnoresMalformedNames) {
   std::vector<RawMeasurement> log = {
-      {"gemm.d.naive", 1e9, "flop/s"},          // missing size token
+      {"gemm.d.micro", 1e9, "flop/s"},          // missing size token
       {"gemm.d.nXY.micro", 1e9, "flop/s"},      // non-numeric size
+      {"factor.n96", 1e9, "flop/s"},            // missing kernel token
+      {"coll.allreduce.b16384.ring", 1e-5, "s"},  // missing rank token
+      {"coll.scan.b16384.p4.ring", 1e-5, "s"},  // unknown kind
+      {"chunk.allreduce.b4194304.cXY", 1e-3, "s"},
       {"solve.total", 1.0, "s"},                // foreign domain
       {"", 1.0, "s"},
   };
-  const perf::TunedTables t = derive_selections(log);
-  for (const auto& row : t.gemm_kernel) {
-    for (const int v : row) EXPECT_EQ(v, -1);
-  }
+  EXPECT_TRUE(derive_selections(log) == perf::TunedTables{});
 }
 
 TEST(DeriveSelections, ReplayIsDeterministic) {
   const std::vector<RawMeasurement> log = {
-      {"gemm.d.n96.naive", 1e9, "flop/s"},
-      {"gemm.d.n96.micro", 4e9, "flop/s"},
-      {"factor.n640.blocked", 5e9, "flop/s"},
+      {"gemm.d.n768.micro", 4e9, "flop/s"},
+      {"gemm.f.n768.micro", 7e9, "flop/s"},
+      {"factor.n768.blocked", 5e9, "flop/s"},
       {"coll.broadcast.b2097152.p4.tree", 1e-4, "s"},
+      {"chunk.allreduce.b4194304.c16384", 3e-3, "s"},
   };
   const perf::TunedTables a = derive_selections(log);
   const perf::TunedTables b = derive_selections(log);
-  for (int t = 0; t < perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      EXPECT_EQ(a.gemm_kernel[t][c], b.gemm_kernel[t][c]);
-    }
-  }
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    EXPECT_EQ(a.factor_kernel[c], b.factor_kernel[c]);
-  }
-  for (int k = 0; k < perf::kCollKindCount; ++k) {
-    for (int c = 0; c < perf::kMsgClassCount; ++c) {
-      EXPECT_EQ(a.coll_algo[k][c], b.coll_algo[k][c]);
-    }
-  }
-  EXPECT_EQ(a.chunk_bytes, b.chunk_bytes);
+  EXPECT_TRUE(a == b);
   EXPECT_EQ(a.coll_algo[int(perf::CollKind::kBroadcast)]
                        [int(perf::MsgClass::kLargeMsg)],
             int(coll::Algorithm::kTree));
+  EXPECT_EQ(a.chunk_bytes, 16 << 10);
+  EXPECT_EQ(a.factor_flops, 5e9);
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 
 #include "coll/engine.hpp"
 #include "core/sequential.hpp"
-#include "la/factor/policy.hpp"
-#include "la/gemm_policy.hpp"
 #include "perf/tracker.hpp"
 #include "perf/tuned.hpp"
 #include "tests/testing.hpp"
@@ -42,14 +40,6 @@ class RuntimeTest : public ::testing::Test {
 MachineProfile contrarian_profile() {
   MachineProfile p;
   p.fingerprint = local_fingerprint();
-  for (int t = 0; t < perf::kScalarTagCount; ++t) {
-    for (int c = 0; c < perf::kNClassCount; ++c) {
-      p.tables.gemm_kernel[t][c] = int(la::GemmKernel::kNaive);
-    }
-  }
-  for (int c = 0; c < perf::kNClassCount; ++c) {
-    p.tables.factor_kernel[c] = int(la::FactorKernel::kNaive);
-  }
   for (int k = 0; k < perf::kCollKindCount; ++k) {
     for (int c = 0; c < perf::kMsgClassCount; ++c) {
       p.tables.coll_algo[k][c] = int(coll::Algorithm::kTree);
@@ -57,39 +47,6 @@ MachineProfile contrarian_profile() {
   }
   p.tables.chunk_bytes = 128 << 10;
   return p;
-}
-
-TEST_F(RuntimeTest, GemmPrecedenceOverrideProfileDefault) {
-  const la::GemmKernel fallback = la::gemm_kernel_policy.get();
-  const auto probe = [] {
-    return la::gemm_kernel_for(perf::ScalarTag::kF64, 300, 300, 300);
-  };
-  EXPECT_EQ(probe(), fallback);
-
-  ASSERT_TRUE(install_profile(contrarian_profile()));
-  EXPECT_EQ(probe(), la::GemmKernel::kNaive);
-  {
-    ScopedPolicy pin(la::gemm_kernel_policy, la::GemmKernel::kMicro);
-    EXPECT_EQ(probe(), la::GemmKernel::kMicro);  // override beats profile
-  }
-  EXPECT_EQ(probe(), la::GemmKernel::kNaive);  // guard restored "none"
-
-  uninstall_profile();
-  EXPECT_EQ(probe(), fallback);
-}
-
-TEST_F(RuntimeTest, FactorPrecedenceOverrideProfileDefault) {
-  const la::FactorKernel fallback = la::factor_kernel_policy.get();
-  EXPECT_EQ(la::factor_kernel_for(256), fallback);
-  ASSERT_TRUE(install_profile(contrarian_profile()));
-  EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kNaive);
-  {
-    ScopedPolicy pin(la::factor_kernel_policy, la::FactorKernel::kBlocked);
-    EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kBlocked);
-  }
-  EXPECT_EQ(la::factor_kernel_for(256), la::FactorKernel::kNaive);
-  uninstall_profile();
-  EXPECT_EQ(la::factor_kernel_for(256), fallback);
 }
 
 TEST_F(RuntimeTest, CollPrecedenceOverrideProfileDefault) {
@@ -126,22 +83,23 @@ TEST_F(RuntimeTest, ProvenanceCountersNameTheSource) {
   perf::Tracker tracker;
   perf::set_thread_tracker(&tracker);
 
+  // Two tunable domains: the collective algorithm and the chunk size.
   record_provenance();  // no profile, no overrides
-  EXPECT_EQ(tracker.counter("tune.source.default"), 4.0);
+  EXPECT_EQ(tracker.counter("tune.source.default"), 2.0);
   EXPECT_EQ(tracker.counter("tune.source.profile"), 0.0);
   EXPECT_EQ(tracker.counter("tune.source.env"), 0.0);
 
   ASSERT_TRUE(install_profile(contrarian_profile()));
-  record_provenance();  // every domain now comes from the profile
-  EXPECT_EQ(tracker.counter("tune.source.profile"), 4.0);
-  EXPECT_EQ(tracker.counter("tune.source.default"), 4.0);
+  record_provenance();  // both domains now come from the profile
+  EXPECT_EQ(tracker.counter("tune.source.profile"), 2.0);
+  EXPECT_EQ(tracker.counter("tune.source.default"), 2.0);
 
   {
-    ScopedPolicy pin(la::gemm_kernel_policy, la::GemmKernel::kMicro);
-    record_provenance();  // gemm pinned, the other three still profiled
+    ScopedPolicy pin(coll::algorithm_policy, coll::Algorithm::kRing);
+    record_provenance();  // algorithm pinned, chunk size still profiled
   }
   EXPECT_EQ(tracker.counter("tune.source.env"), 1.0);
-  EXPECT_EQ(tracker.counter("tune.source.profile"), 7.0);
+  EXPECT_EQ(tracker.counter("tune.source.profile"), 3.0);
 }
 
 TEST_F(RuntimeTest, ChaseProfileEnvInstallsAtResolve) {
@@ -153,7 +111,7 @@ TEST_F(RuntimeTest, ChaseProfileEnvInstallsAtResolve) {
   ensure_profile_from_env();
   const perf::TunedTables* t = perf::tuned_tables();
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->factor_kernel[0], int(la::FactorKernel::kNaive));
+  EXPECT_EQ(t->coll_algo[0][0], int(coll::Algorithm::kTree));
   // Idempotent: a second resolve does not re-read the env.
   ensure_profile_from_env();
   EXPECT_EQ(perf::tuned_tables(), t);
@@ -181,11 +139,13 @@ TEST_F(RuntimeTest, RejectedProfileFallsBackToDefaultsAndCounts) {
 }
 
 TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
-  // Stored tables say naive everywhere; the measurement log says micro
-  // wins small-double GEMM. Replay must trust the log, not the tables.
+  // Stored tables say tree everywhere; the measurement log says the ring
+  // wins small allreduces. Replay must trust the log, not the tables.
   MachineProfile p = contrarian_profile();
-  p.measurements.push_back({"gemm.d.n96.naive", 1e9, "flop/s"});
-  p.measurements.push_back({"gemm.d.n96.micro", 4e9, "flop/s"});
+  p.tables.gemm_flops = 9e9;
+  p.measurements.push_back({"coll.allreduce.b16384.p4.tree", 2e-5, "s"});
+  p.measurements.push_back({"coll.allreduce.b16384.p4.ring", 1e-5, "s"});
+  p.measurements.push_back({"gemm.d.n768.micro", 4e9, "flop/s"});
   const std::string path = temp_path("chase_profile_replay.json");
   ASSERT_TRUE(save_profile(p, path));
   ::setenv("CHASE_TUNE_REPLAY", path.c_str(), 1);
@@ -193,18 +153,23 @@ TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
   ensure_profile_from_env();
   const perf::TunedTables* t = perf::tuned_tables();
   ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->gemm_kernel[int(perf::ScalarTag::kF64)]
-                          [int(perf::NClass::kSmall)],
-            int(la::GemmKernel::kMicro));
+  EXPECT_EQ(t->coll_algo[int(perf::CollKind::kAllReduce)]
+                        [int(perf::MsgClass::kSmallMsg)],
+            int(coll::Algorithm::kRing));
+  EXPECT_EQ(t->gemm_flops, 4e9);
   // Classes the log never measured are unset under replay, even though the
   // stored tables had entries — selections are a pure function of the log.
-  EXPECT_EQ(t->factor_kernel[0], -1);
+  EXPECT_EQ(t->coll_algo[int(perf::CollKind::kBroadcast)]
+                        [int(perf::MsgClass::kSmallMsg)],
+            -1);
+  EXPECT_EQ(t->chunk_bytes, 0);
   std::remove(path.c_str());
 }
 
 TEST_F(RuntimeTest, ProfileLessSolveMatchesPinnedDefaultsBitwise) {
   // The autotuner contract: a process with no profile and no overrides is
-  // bitwise identical to one that explicitly pins the build defaults.
+  // bitwise identical to one that explicitly pins the built-in defaults of
+  // every profile-tunable domain.
   const auto h = testing::random_hermitian<double>(96, 7);
   core::ChaseConfig cfg;
   cfg.nev = 12;
@@ -215,9 +180,10 @@ TEST_F(RuntimeTest, ProfileLessSolveMatchesPinnedDefaultsBitwise) {
 
   core::ChaseResult<double> pinned;
   {
-    ScopedPolicy gemm_pin(la::gemm_kernel_policy, la::gemm_kernel_policy.get());
-    ScopedPolicy factor_pin(la::factor_kernel_policy,
-                            la::factor_kernel_policy.get());
+    ScopedPolicy algo_pin(coll::algorithm_policy,
+                          coll::algorithm_policy.get());
+    ScopedPolicy chunk_pin(coll::chunk_bytes_policy,
+                           coll::chunk_bytes_policy.get());
     pinned = core::solve_sequential<double>(h.view(), cfg);
   }
   ASSERT_TRUE(pinned.converged);

@@ -153,8 +153,12 @@ int main(int argc, char** argv) {
                                      policy_kind);
           chase::ScopedPolicy chunk_scope(chase::coll::chunk_bytes_policy,
                                           chunk);
+          // One part at a time: `label += "/" + std::to_string(...)` trips a
+          // GCC 12 -Wrestrict false positive.
           std::string label(chase::coll::algorithm_name(policy_kind));
-          label += "/" + std::to_string(chunk >> 10) + "KiB";
+          label += '/';
+          label += std::to_string(chunk >> 10);
+          label += "KiB";
           points.push_back({"allreduce", label, policy_kind, chunk, p, bytes,
                             time_allreduce(p, bytes, iters)});
         }

@@ -9,8 +9,8 @@
 //   * tuned <= 1.05x the profile-less solve (median of the per-pair
 //     ratios) — consulting the installed tables must not tax the hot path;
 //   * replay determinism — derive_selections over the persisted measurement
-//     log must reproduce the persisted tables and rates bit-for-bit, after
-//     a save and load round trip.
+//     log must reproduce the persisted tables bit-for-bit, after a save and
+//     load round trip.
 //
 // `--schema <path>` instead validates an existing profile JSON (schema,
 // version, structure and the replay invariant) without benchmarking:
@@ -72,10 +72,7 @@ int main(int argc, char** argv) {
   tune::TuneOptions opts;
   opts.quick = true;
   opts.coll_ranks = 2;
-  if (quick) {
-    opts.repeats = 1;
-    opts.skip_collectives = true;
-  }
+  if (quick) opts.repeats = 1;
   std::printf("tuning (quick probe sizes, %d repeat%s)...\n", opts.repeats,
               opts.repeats == 1 ? "" : "s");
   const tune::MachineProfile profile = tune::run_tuning(opts);

@@ -76,13 +76,12 @@ Autotuner invariants (results/bench_tune.json, hard failures):
     of the alternating per-pair ratios) — the installed tables must not
     tax the hot path;
   * replay not deterministic — derive_selections over the persisted
-    measurement log must reproduce the persisted tables and rates
-    bit-for-bit.
+    measurement log must reproduce the persisted tables bit-for-bit.
 
 `--schema <profile.json>` instead validates a persisted machine profile
 (schema tag, version, fingerprint and table shapes) without benchmarking.
-The "gemm_kernel" / "factor_kernel" tables of older profiles are accepted
-but not required.
+The "gemm_kernel" / "factor_kernel" tables and the "rates" object of older
+profiles are accepted but not required.
 
 Informational: the hemm-vs-gemm median ratios, staged-vs-seed ratios below
 parity (the staged engine being faster is fine), and the wall-clock cost of
@@ -345,16 +344,17 @@ def check_profile_schema(path: str) -> int:
     else:
         if not isinstance(tables.get("coll_algo"), list):
             problems.append("tables.coll_algo must be an array")
-        # Older profiles also carry kernel tables; accepted, not required.
+        # Older profiles also carry kernel tables and measured rates;
+        # accepted, not required.
         for key in ("gemm_kernel", "factor_kernel"):
             if key in tables and not isinstance(tables[key], list):
                 problems.append(f"tables.{key} must be an array")
+        if "rates" in tables and not isinstance(tables["rates"], dict):
+            problems.append("tables.rates must be an object")
         chunk = tables.get("chunk_bytes")
         if not isinstance(chunk, (int, float)) or chunk < 0:
             problems.append("tables.chunk_bytes must be a non-negative "
                             "number")
-        if not isinstance(tables.get("rates"), dict):
-            problems.append("tables.rates must be an object")
     if problems:
         print(f"{path}: invalid machine profile:")
         for p in problems:

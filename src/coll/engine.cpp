@@ -32,9 +32,7 @@ using perf::CollAlgo;
 CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
                   perf::Backend backend, const perf::TopoInfo& topo,
                   std::initializer_list<CollAlgo> candidates) {
-  // Priced with the process-global selection model so a loaded machine
-  // profile (tune::install_profile) recalibrates the auto policy too.
-  const perf::MachineModel model = perf::selection_model();
+  const perf::MachineModel model{};  // the built-in rates
   const std::size_t chunk = chunk_bytes();
   CollAlgo best = CollAlgo::kNaiveAlgo;
   double best_cost = std::numeric_limits<double>::infinity();

@@ -12,7 +12,7 @@
 //
 // Every call records its flop count and wall time on the thread's
 // perf::Tracker ("la.gemm.flops", "la.gemm.seconds") — the measured Gflop/s
-// feed the machine-model calibration (perf::calibrate_gemm_rate).
+// feed the machine-model calibration (perf::MachineModel::calibrate_gemm).
 #pragma once
 
 #include <vector>
@@ -71,9 +71,8 @@ inline double gemm_flop_count(Index m, Index n, Index k) {
 /// Record one engine call on the thread tracker: cumulative flops and wall
 /// seconds (their ratio is the achieved Gflop/s that calibrates the machine
 /// model). `single` splits the counters by storage precision
-/// ("la.gemm32.*" for fp32/complex<float> calls), so the machine model can
-/// calibrate its double rate and its single-precision speedup independently
-/// (perf::MachineModel::calibrate_gemm / calibrate_single).
+/// ("la.gemm32.*" for fp32/complex<float> calls), so the double rate that
+/// perf::MachineModel::calibrate_gemm reads carries no fp32 time.
 inline void record_gemm_call(bool single, double flops, double seconds) {
   if (auto* t = perf::thread_tracker()) {
     t->bump(single ? "la.gemm32.flops" : "la.gemm.flops", flops);

@@ -15,7 +15,6 @@
 namespace chase::perf {
 
 class Tracker;
-struct TunedTables;
 
 struct MachineModel {
   // --- per-GPU computation (double precision, effective) ---
@@ -30,8 +29,7 @@ struct MachineModel {
 
   // --- single-precision speedup over the double-precision GEMM rate ---
   // On A100-class parts TF32/FP32 tensor throughput is ~2x the FP64 rate
-  // (and the halved footprint doubles cache-resident tile sizes on CPUs);
-  // replaced by calibrate_single() from measured kernel counters.
+  // (and the halved footprint doubles cache-resident tile sizes on CPUs).
   double single_speedup = 2.0;
   /// Effective rate for FlopClass::kGemmSingle work.
   double gemm_flops_single() const { return gemm_flops * single_speedup; }
@@ -63,19 +61,12 @@ struct MachineModel {
   // When a communicator carries a grouped topology (perf::TopoInfo), the
   // cost model prices each hop by the class of the link it crosses: fast
   // links inside a node group (NVLink / shared memory) vs the slow
-  // inter-node class (HDR IB). These default to the NCCL ring rates above
-  // and are replaced by calibrate_links() (or by a CHASE_TOPO emulation
-  // spec, which overrides them per TopoInfo).
+  // inter-node class (HDR IB). These default to the NCCL ring rates above;
+  // a CHASE_TOPO emulation spec overrides them per TopoInfo.
   double intra_bw = 200.0e9;      // bytes/s across a fast intra-group link
   double inter_bw = 22.0e9;       // bytes/s across a slow cross-group link
   double intra_latency = 18e-6;   // per hop inside the fast group
   double inter_latency = 25e-6;   // per hop crossing groups
-
-  /// Replace the per-link-class rates with measured values (e.g. from the
-  /// --topo sweep of bench/micro_collectives). Non-positive arguments leave
-  /// the corresponding rate untouched.
-  void calibrate_links(double intra_bytes_per_s, double inter_bytes_per_s,
-                       double intra_lat_s = 0, double inter_lat_s = 0);
 
   /// Host-staged copy of `bytes` across PCIe.
   double memcpy_seconds(std::size_t bytes) const;
@@ -115,34 +106,6 @@ struct MachineModel {
   /// src/la/trsm.hpp, potrf.hpp, gemm.hpp, heevd.hpp) and replaces
   /// factor_flops with the measured aggregate rate.
   void calibrate_factor(const Tracker& t, double min_seconds = 1e-3);
-
-  /// Calibrate the single-precision speedup from the fp32 kernel counters
-  /// ("la.gemm32.flops" / "la.gemm32.seconds", recorded by the same engine
-  /// dispatchers when the scalar storage is 4 bytes wide). Requires a
-  /// calibrated (or trusted) double rate; the speedup is clamped to >= 1 —
-  /// a machine where fp32 runs slower than fp64 is a measurement artifact.
-  void calibrate_single(const Tracker& t, double min_seconds = 1e-3);
-
-  /// Replace the effective rates with the measured rates of a loaded machine
-  /// profile (perf::TunedTables, installed by tune::install_profile): the
-  /// double GEMM rate, the pooled factorization rate, and the fp32 speedup.
-  /// Unset (zero) table rates leave the corresponding default untouched —
-  /// the same contract as the counter-based calibrate_* routines.
-  void calibrate_from_tables(const TunedTables& t);
 };
-
-/// The process-global MachineModel that prices runtime *selections*: the
-/// coll::select auto policy and qr::modeled_qr_seconds both read it, so the
-/// cost models and the loaded machine profile share one source of truth.
-/// Defaults to the built-in A100 description; tune::install_profile refreshes
-/// it via calibrate_from_tables. Returned by value (a couple dozen doubles)
-/// from an atomically published slot — safe to call from rank threads.
-MachineModel selection_model();
-
-/// Install `m` as the process-global selection model.
-void set_selection_model(const MachineModel& m);
-
-/// Reset the selection model to the built-in defaults.
-void reset_selection_model();
 
 }  // namespace chase::perf

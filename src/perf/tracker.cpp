@@ -28,6 +28,18 @@ std::string_view region_name(Region r) {
   }
 }
 
+const char* coll_kind_name(CollKind k) {
+  switch (k) {
+    case CollKind::kAllReduce:
+      return "allreduce";
+    case CollKind::kBroadcast:
+      return "broadcast";
+    case CollKind::kAllGather:
+    default:
+      return "allgather";
+  }
+}
+
 Tracker::Tracker() : last_cpu_(thread_cpu_seconds()) {}
 
 Tracker::Tracker(const Tracker& other) {

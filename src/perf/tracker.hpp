@@ -52,6 +52,10 @@ enum class CollKind : int { kAllReduce = 0, kBroadcast, kAllGather, kCount_ };
 
 inline constexpr int kCollKindCount = int(CollKind::kCount_);
 
+/// "allreduce" / "broadcast" / "allgather": the one spelling of each kind,
+/// used by the tuner's measurement names and the machine-profile tables.
+const char* coll_kind_name(CollKind k);
+
 struct CollectiveEvent {
   Region region;
   CollKind kind;

@@ -1,5 +1,6 @@
 #include "perf/tuned.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -16,9 +17,9 @@ constexpr std::size_t kMsgMediumMax = std::size_t(1) << 20;   // 1 MiB
 struct TableSlot {
   std::atomic<const TunedTables*> current{nullptr};
   std::mutex mu;  // serializes writers
-  // Replaced tables are retired here instead of freed: a reader may still
-  // hold the old pointer (the dispatchers are called from rank threads).
-  std::vector<std::unique_ptr<const TunedTables>> retired;
+  // Every distinct table ever installed, never freed: a reader may still
+  // hold an old pointer (the dispatchers are called from rank threads).
+  std::vector<std::unique_ptr<const TunedTables>> kept;
 };
 
 TableSlot& slot() {
@@ -53,13 +54,13 @@ const TunedTables* tuned_tables() {
 void set_tuned_tables(const TunedTables& t) {
   auto& s = slot();
   std::lock_guard<std::mutex> lock(s.mu);
-  auto fresh = std::make_unique<const TunedTables>(t);
-  const TunedTables* prev =
-      s.current.exchange(fresh.get(), std::memory_order_acq_rel);
-  s.retired.push_back(std::move(fresh));
-  if (prev != nullptr) {
-    // Already owned by `retired` from a previous install; nothing to do.
+  auto it = std::find_if(s.kept.begin(), s.kept.end(),
+                         [&](const auto& k) { return *k == t; });
+  if (it == s.kept.end()) {
+    s.kept.push_back(std::make_unique<const TunedTables>(t));
+    it = s.kept.end() - 1;
   }
+  s.current.store(it->get(), std::memory_order_release);
 }
 
 void clear_tuned_tables() {

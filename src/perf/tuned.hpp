@@ -2,12 +2,11 @@
 // loaded machine profile (src/tune).
 //
 // The autotuner benchmarks the collective algorithms and pipelining chunk
-// sizes, persists the winners per message-size class (DBCSR-style: tune once
-// per machine, dispatch from the table at runtime), and records the measured
-// dense-kernel rates that calibrate the selection MachineModel. The coll
-// layer cannot depend on src/tune (tune drives it), so the *data* lives here
-// in perf — plain ints keyed by the class enum below, with the translation
-// to coll::Algorithm done by the consumer, and the installation done by
+// sizes and persists the winners per message-size class (DBCSR-style: tune
+// once per machine, dispatch from the table at runtime). The coll layer
+// cannot depend on src/tune (tune drives it), so the *data* lives here in
+// perf — plain ints keyed by the class enum below, with the translation to
+// coll::Algorithm done by the consumer, and the installation done by
 // tune::install_profile().
 //
 // Precedence contract (enforced by each consumer): an explicit override
@@ -38,14 +37,9 @@ MsgClass msg_class(std::size_t bytes);
 
 /// One loaded profile's dispatch tables. Entries are the *int value* of
 /// coll::Algorithm; -1 means "no tuned entry, fall through to the default".
-/// Rates are the measured machine rates (0 = unset) that calibrate the
-/// selection MachineModel.
 struct TunedTables {
   int coll_algo[kCollKindCount][kMsgClassCount];
   long long chunk_bytes = 0;  // 0 = unset
-  double gemm_flops = 0;      // measured double GEMM rate (flops/s)
-  double factor_flops = 0;    // measured factorization-engine rate
-  double single_speedup = 0;  // measured fp32/fp64 GEMM rate ratio
 
   TunedTables() {
     for (auto& row : coll_algo) {
@@ -59,12 +53,13 @@ struct TunedTables {
 /// The process-global tuned tables, or null when no profile is installed.
 /// One acquire load — cheap enough for the per-call collective
 /// dispatchers. The returned pointer stays valid for the process lifetime
-/// (replaced tables are retired, not freed).
+/// (installed tables are kept, never freed).
 const TunedTables* tuned_tables();
 
-/// Install a copy of `t` as the process-global tables (published with
-/// release semantics; the previous tables are retired, never freed, so
-/// concurrent readers stay safe).
+/// Publish `t` as the process-global tables (release semantics). A kept
+/// copy equal to `t` is republished; otherwise a new copy is kept. Copies
+/// are never freed, so concurrent readers stay safe, and a process that
+/// reloads the same profiles allocates once per distinct table.
 void set_tuned_tables(const TunedTables& t);
 
 /// Remove the installed tables; consumers fall back to built-in defaults.

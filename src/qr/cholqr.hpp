@@ -37,9 +37,10 @@ namespace detail {
 
 /// Record the analytic flop counts of one CholeskyQR repetition (what the
 /// cuBLAS/cuSOLVER kernels of the paper's implementation would execute).
-/// The HERK and TRSM on a tall block are kFactor work — priced at the
-/// measured factorization rate (MachineModel::factor_flops, calibrated from
-/// the la.trsm/la.herk counters) rather than assumed to hit the GEMM peak.
+/// The HERK and TRSM on a tall block are kFactor work — priced at
+/// MachineModel::factor_flops (which MachineModel::calibrate_factor can set
+/// from the la.trsm/la.herk counters of a traced run) rather than at the
+/// GEMM rate.
 template <typename T>
 void account_cholqr_flops(Index m_local, Index n) {
   if (auto* t = perf::thread_tracker()) {

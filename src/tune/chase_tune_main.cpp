@@ -1,7 +1,7 @@
 // chase_tune: probe this machine once, persist the winners.
 //
 //   chase_tune [--out <path>] [--quick] [--reps N] [--warmup N] [--ranks P]
-//              [--kernels-only] [--check <path>]
+//              [--check <path>]
 //
 // Runs the autotuner (src/tune/tuner.hpp) and writes the machine profile
 // JSON to --out (default: $CHASE_PROFILE when set, else
@@ -10,15 +10,15 @@
 // still win per the precedence contract.
 //
 // --check validates an existing profile instead of tuning: schema/version,
-// fingerprint-vs-this-host, and that the stored collective tables, chunk
-// size and rates match what derive_selections re-derives from the recorded
+// fingerprint-vs-this-host, and that the stored collective tables and chunk
+// size match what derive_selections re-derives from the recorded
 // measurements (the replay invariant). Exit 0 iff all three hold.
-// --kernels-only skips the collective probes and records the dense-kernel
-// rates alone.
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
+#include "coll/engine.hpp"
 #include "common/env.hpp"
 #include "perf/tuned.hpp"
 #include "tune/profile.hpp"
@@ -30,23 +30,20 @@ using namespace chase;
 
 void print_tables(const perf::TunedTables& t) {
   std::printf("tuned dispatch tables:\n");
-  static const char* kKinds[] = {"allreduce", "broadcast", "allgather"};
-  static const char* kAlgos[] = {"naive", "ring", "tree", "hier", "auto"};
   for (int k = 0; k < perf::kCollKindCount; ++k) {
     for (int c = 0; c < perf::kMsgClassCount; ++c) {
       const int a = t.coll_algo[k][c];
       if (a < 0) continue;
-      std::printf("  coll   %-9s %-7s -> %s\n", kKinds[k],
-                  perf::msg_class_name(perf::MsgClass(c)),
-                  a <= 4 ? kAlgos[a] : "?");
+      const std::string_view algo = coll::algorithm_name(coll::Algorithm(a));
+      std::printf("  coll   %-9s %-7s -> %.*s\n",
+                  perf::coll_kind_name(perf::CollKind(k)),
+                  perf::msg_class_name(perf::MsgClass(c)), int(algo.size()),
+                  algo.data());
     }
   }
   if (t.chunk_bytes > 0) {
     std::printf("  chunk_bytes -> %lld\n", t.chunk_bytes);
   }
-  std::printf("  rates: gemm %.3g flop/s, factor %.3g flop/s, fp32 speedup "
-              "%.2fx\n",
-              t.gemm_flops, t.factor_flops, t.single_speedup);
 }
 
 int check_profile(const std::string& path) {
@@ -81,7 +78,7 @@ int check_profile(const std::string& path) {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out <path>] [--quick] [--reps N] [--warmup N] "
-               "[--ranks P] [--kernels-only] [--check <path>]\n",
+               "[--ranks P] [--check <path>]\n",
                argv0);
   return 2;
 }
@@ -102,8 +99,6 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(arg, "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(arg, "--kernels-only") == 0) {
-      opts.skip_collectives = true;
     } else if (std::strcmp(arg, "--reps") == 0 && i + 1 < argc) {
       opts.repeats = int(env::ranged_int("--reps", argv[++i], 1, 1000));
     } else if (std::strcmp(arg, "--warmup") == 0 && i + 1 < argc) {

@@ -8,25 +8,12 @@
 #include <thread>
 
 #include "coll/engine.hpp"
-#include "perf/machine.hpp"
 #include "perf/tracker.hpp"
 #include "tune/json.hpp"
 
 namespace chase::tune {
 
 namespace {
-
-const char* coll_kind_name(perf::CollKind k) {
-  switch (k) {
-    case perf::CollKind::kAllReduce:
-      return "allreduce";
-    case perf::CollKind::kBroadcast:
-      return "broadcast";
-    case perf::CollKind::kAllGather:
-    default:
-      return "allgather";
-  }
-}
 
 // Name -> index parsers for the class enums. Unknown names return -1: the
 // entry is skipped, so profiles from builds with more classes still load.
@@ -41,7 +28,9 @@ int parse_named(const std::string& name, const char* (*namer)(int),
 const char* msg_namer(int i) {
   return perf::msg_class_name(perf::MsgClass(i));
 }
-const char* kind_namer(int i) { return coll_kind_name(perf::CollKind(i)); }
+const char* kind_namer(int i) {
+  return perf::coll_kind_name(perf::CollKind(i));
+}
 
 void append_number(std::string& out, double v) {
   char buf[64];
@@ -59,13 +48,6 @@ void bump_rejected() {
 }
 
 }  // namespace
-
-double MachineProfile::measurement(std::string_view name) const {
-  for (const RawMeasurement& m : measurements) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
 
 Fingerprint local_fingerprint() {
   Fingerprint fp;
@@ -131,13 +113,7 @@ std::string encode_profile(const MachineProfile& p) {
   }
   out += "\n    ],\n    \"chunk_bytes\": ";
   append_number(out, double(p.tables.chunk_bytes));
-  out += ",\n    \"rates\": {\"gemm_flops\": ";
-  append_number(out, p.tables.gemm_flops);
-  out += ", \"factor_flops\": ";
-  append_number(out, p.tables.factor_flops);
-  out += ", \"single_speedup\": ";
-  append_number(out, p.tables.single_speedup);
-  out += "}\n  }\n}\n";
+  out += "\n  }\n}\n";
   return out;
 }
 
@@ -186,9 +162,9 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
 
   const json::Value* tables = doc->get("tables");
   if (tables == nullptr || !tables->is_object()) return fail("missing tables");
-  // Profiles written while the GEMM and factorization kernels were tunable
-  // also carry "gemm_kernel" / "factor_kernel" tables; each operation now
-  // has one kernel, so those tables are not read.
+  // Older profiles also carry "gemm_kernel" / "factor_kernel" tables (from
+  // when those kernels were tunable) and measured "rates"; no dispatch
+  // decision reads them, so they are skipped.
   if (const json::Value* a = tables->get("coll_algo")) {
     if (!a->is_array()) return fail("tables.coll_algo is not an array");
     for (const json::Value& e : *a->array) {
@@ -206,12 +182,6 @@ std::optional<MachineProfile> decode_profile(std::string_view text,
   const double chunk = tables->get_number("chunk_bytes").value_or(0);
   if (chunk < 0) return fail("negative chunk_bytes");
   p.tables.chunk_bytes = (long long)(chunk);
-  if (const json::Value* rates = tables->get("rates")) {
-    if (!rates->is_object()) return fail("tables.rates is not an object");
-    p.tables.gemm_flops = rates->get_number("gemm_flops").value_or(0);
-    p.tables.factor_flops = rates->get_number("factor_flops").value_or(0);
-    p.tables.single_speedup = rates->get_number("single_speedup").value_or(0);
-  }
   return p;
 }
 
@@ -249,15 +219,9 @@ bool install_profile(const MachineProfile& p, bool check_fingerprint) {
     return false;
   }
   perf::set_tuned_tables(p.tables);
-  perf::MachineModel model;  // built-in defaults for everything unmeasured
-  model.calibrate_from_tables(p.tables);
-  perf::set_selection_model(model);
   return true;
 }
 
-void uninstall_profile() {
-  perf::clear_tuned_tables();
-  perf::reset_selection_model();
-}
+void uninstall_profile() { perf::clear_tuned_tables(); }
 
 }  // namespace chase::tune

@@ -2,7 +2,7 @@
 //
 // A MachineProfile is what `chase_tune` persists and what CHASE_PROFILE
 // loads at solve start: the machine fingerprint the measurements were taken
-// on, the raw measurement log (every algorithm and rate probed, so
+// on, the raw measurement log (every algorithm and chunk size probed, so
 // selections can be re-derived deterministically without re-benchmarking —
 // CHASE_TUNE_REPLAY), and the derived dispatch tables in the low-level
 // perf::TunedTables form the policy layers consume.
@@ -11,20 +11,19 @@
 //
 //   {"schema": "chase.machine_profile", "version": 1,
 //    "fingerprint": {"host": "...", "cpu": "...", "threads": N},
-//    "measurements": [{"name": "gemm.d.n768.micro",
-//                      "value": 1.23e9, "unit": "flop/s"}, ...],
+//    "measurements": [{"name": "coll.allreduce.b16384.p2.ring",
+//                      "value": 1.2e-5, "unit": "s"}, ...],
 //    "tables": {"coll_algo":     [{"kind": "allreduce", "msgclass": "small",
 //                                  "algo": "ring"}, ...],
-//               "chunk_bytes": 65536,
-//               "rates": {"gemm_flops": ..., "factor_flops": ...,
-//                         "single_speedup": ...}}}
+//               "chunk_bytes": 65536}}
 //
 // decode_profile rejects unknown schemas, future versions, and malformed
 // documents outright (the caller falls back to built-in defaults and bumps
 // "tune.profile.rejected"); unknown *enum names* inside the tables merely
 // leave that entry untuned, so a profile written by a newer build with more
-// algorithms still loads on an older one. The "gemm_kernel" and
-// "factor_kernel" tables of older version-1 profiles are ignored.
+// algorithms still loads on an older one. The "gemm_kernel",
+// "factor_kernel" and "rates" tables of older version-1 profiles are
+// ignored.
 #pragma once
 
 #include <optional>
@@ -56,7 +55,8 @@ struct Fingerprint {
 /// /proc/cpuinfo model name when readable, hardware_concurrency).
 Fingerprint local_fingerprint();
 
-/// One raw tuner measurement, e.g. {"gemm.d.n768.micro", 1.2e9, "flop/s"}.
+/// One raw tuner measurement, e.g. {"coll.allreduce.b16384.p2.ring", 1.2e-5,
+/// "s"}.
 struct RawMeasurement {
   std::string name;
   double value = 0;
@@ -67,9 +67,6 @@ struct MachineProfile {
   Fingerprint fingerprint;
   std::vector<RawMeasurement> measurements;
   perf::TunedTables tables;
-
-  /// Lookup in the raw measurement log; 0 when absent.
-  double measurement(std::string_view name) const;
 };
 
 /// Serialize to the versioned JSON document above.
@@ -86,13 +83,13 @@ bool save_profile(const MachineProfile& p, const std::string& path,
 std::optional<MachineProfile> load_profile(const std::string& path,
                                            std::string* error = nullptr);
 
-/// Install `p` process-wide: publish the dispatch tables
-/// (perf::set_tuned_tables) and recalibrate the selection MachineModel from
-/// the measured rates. Skips (returns false, bumps "tune.profile.rejected")
-/// when `check_fingerprint` and the profile was measured elsewhere.
+/// Install `p` process-wide: publish its dispatch tables
+/// (perf::set_tuned_tables). Skips (returns false, bumps
+/// "tune.profile.rejected") when `check_fingerprint` and the profile was
+/// measured elsewhere.
 bool install_profile(const MachineProfile& p, bool check_fingerprint = true);
 
-/// Remove any installed profile: consumers fall back to built-in defaults.
+/// Remove any installed tables: consumers fall back to built-in defaults.
 void uninstall_profile();
 
 }  // namespace chase::tune

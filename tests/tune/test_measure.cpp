@@ -95,18 +95,20 @@ TEST_F(TuneEnvTest, InvalidValuesThrowNamingTheVariable) {
 TEST_F(TuneEnvTest, WithDefaultsFillsOneSizePerClass) {
   TuneOptions o;
   const TuneOptions full = o.with_defaults();
-  // One size each for the rate probes (the rates read the largest size),
-  // one per message class for the collectives.
-  EXPECT_EQ(full.gemm_sizes.size(), 1u);
-  EXPECT_EQ(full.factor_sizes.size(), 1u);
+  // One payload per message class for the collectives, and the chunk
+  // candidates the pipelining sweep races.
   EXPECT_EQ(full.coll_bytes.size(), 3u);
+  EXPECT_EQ(full.chunk_candidates.size(), 3u);
   o.quick = true;
   const TuneOptions quick = o.with_defaults();
-  EXPECT_EQ(quick.gemm_sizes.size(), 1u);
-  EXPECT_LT(quick.gemm_sizes.back(), full.gemm_sizes.back());
+  EXPECT_EQ(quick.coll_bytes.size(), 3u);
+  EXPECT_LT(quick.coll_bytes.back(), full.coll_bytes.back());
   // Explicit lists are preserved untouched.
-  o.gemm_sizes = {48, 96};
-  EXPECT_EQ(o.with_defaults().gemm_sizes.size(), 2u);
+  o.coll_bytes = {4096, 8192};
+  o.chunk_candidates = {std::size_t(32) << 10};
+  const TuneOptions given = o.with_defaults();
+  EXPECT_EQ(given.coll_bytes.size(), 2u);
+  EXPECT_EQ(given.chunk_candidates.size(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Machine-profile wire format: round-trip, schema/version gating, corrupt
-// input rejection, fingerprint gating, legacy kernel tables, and the
-// deterministic derivation of dispatch tables and rates from a raw
-// measurement log.
+// input rejection, fingerprint gating, legacy kernel tables and rates, the
+// bounded tuned-table slot, and the deterministic derivation of dispatch
+// tables from a raw measurement log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -31,9 +31,6 @@ MachineProfile sample_profile() {
                     [int(perf::MsgClass::kSmallMsg)] =
       int(coll::Algorithm::kRing);
   p.tables.chunk_bytes = 128 << 10;
-  p.tables.gemm_flops = 6.25e9;
-  p.tables.factor_flops = 3.5e9;
-  p.tables.single_speedup = 1.8;
   return p;
 }
 
@@ -61,17 +58,16 @@ TEST_F(ProfileTest, EncodeDecodeRoundTrip) {
                                   [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(back->tables.chunk_bytes, 128 << 10);
-  EXPECT_DOUBLE_EQ(back->tables.gemm_flops, 6.25e9);
-  EXPECT_DOUBLE_EQ(back->tables.factor_flops, 3.5e9);
-  EXPECT_DOUBLE_EQ(back->tables.single_speedup, 1.8);
+  EXPECT_TRUE(back->tables == p.tables);
   // Untouched entries stay unset.
   EXPECT_EQ(back->tables.coll_algo[int(perf::CollKind::kBroadcast)]
                                   [int(perf::MsgClass::kSmallMsg)],
             -1);
-  // The encoder writes no kernel tables any more.
+  // The encoder writes no kernel tables and no rates any more.
   const std::string text = encode_profile(p);
   EXPECT_EQ(text.find("gemm_kernel"), std::string::npos);
   EXPECT_EQ(text.find("factor_kernel"), std::string::npos);
+  EXPECT_EQ(text.find("rates"), std::string::npos);
 }
 
 TEST_F(ProfileTest, FileRoundTrip) {
@@ -161,8 +157,8 @@ TEST_F(ProfileTest, UnknownEnumNamesLeaveEntriesUntuned) {
 TEST_F(ProfileTest, RetiredBlockedGemmKernelLoadsUntuned) {
   // A profile written while the kernels were tunable — including an entry
   // for the `blocked` GEMM kernel, retired even before that — still loads:
-  // its kernel tables are skipped, while the collective table, chunk size,
-  // rates and the measurement log come through.
+  // its kernel tables and rates are skipped, while the collective table,
+  // chunk size and the measurement log come through.
   const auto p = decode_profile(
       R"({"schema": "chase.machine_profile", "version": 1,
           "fingerprint": {"host": "h", "cpu": "c", "threads": 4},
@@ -184,20 +180,17 @@ TEST_F(ProfileTest, RetiredBlockedGemmKernelLoadsUntuned) {
                                [int(perf::MsgClass::kMediumMsg)],
             int(coll::Algorithm::kRing));
   EXPECT_EQ(p->tables.chunk_bytes, 32768);
-  EXPECT_DOUBLE_EQ(p->tables.gemm_flops, 5e9);
-  EXPECT_DOUBLE_EQ(p->tables.factor_flops, 2e9);
-  EXPECT_DOUBLE_EQ(p->tables.single_speedup, 1.5);
   ASSERT_EQ(p->measurements.size(), 1u);
   EXPECT_EQ(p->measurements[0].name, "gemm.d.n96.blocked");
-  // The retired kernel's row never feeds a rate on replay.
-  EXPECT_EQ(derive_selections(p->measurements).gemm_flops, 0);
+  // The retired kernel's row derives no table entry on replay.
+  EXPECT_TRUE(derive_selections(p->measurements) == perf::TunedTables{});
 }
 
 TEST_F(ProfileTest, LegacyKernelTablesAreIgnored) {
   // A version-1 profile for this machine whose kernel tables name the seed
   // kernels for every class — what a tuning run on a loaded host could have
-  // written. Only the collective table, chunk size and rates are read, so a
-  // solve under it is bitwise the profile-less solve.
+  // written, plus measured rates. Only the collective table and chunk size
+  // are read, so a solve under it is bitwise the profile-less solve.
   const Fingerprint fp = local_fingerprint();
   std::string gemm_rows, factor_rows;
   for (const char* type : {"f", "d", "c", "z"}) {
@@ -233,9 +226,6 @@ TEST_F(ProfileTest, LegacyKernelTablesAreIgnored) {
                                [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kTree));
   EXPECT_EQ(p->tables.chunk_bytes, 131072);
-  EXPECT_DOUBLE_EQ(p->tables.gemm_flops, 4e9);
-  EXPECT_DOUBLE_EQ(p->tables.factor_flops, 1.5e9);
-  EXPECT_DOUBLE_EQ(p->tables.single_speedup, 1.75);
 
   const auto h = testing::random_hermitian<double>(96, 7);
   core::ChaseConfig cfg;
@@ -248,7 +238,6 @@ TEST_F(ProfileTest, LegacyKernelTablesAreIgnored) {
   const perf::TunedTables* t = perf::tuned_tables();
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->chunk_bytes, 131072);
-  EXPECT_DOUBLE_EQ(t->gemm_flops, 4e9);
   const auto tuned = core::solve_sequential<double>(h.view(), cfg);
   uninstall_profile();
   ASSERT_TRUE(tuned.converged);
@@ -284,10 +273,26 @@ TEST_F(ProfileTest, InstallPublishesTablesAndUninstallClears) {
   const perf::TunedTables* t = perf::tuned_tables();
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->chunk_bytes, 128 << 10);
-  // The selection model picked up the measured machine rates.
-  EXPECT_DOUBLE_EQ(perf::selection_model().gemm_flops, 6.25e9);
+  EXPECT_TRUE(*t == sample_profile().tables);
   uninstall_profile();
   EXPECT_EQ(perf::tuned_tables(), nullptr);
+}
+
+TEST_F(ProfileTest, ReinstallingEqualTablesReusesTheRetainedCopy) {
+  // A process that reloads the same profiles keeps one copy per distinct
+  // table: reinstalling A after B republishes A's first copy.
+  const MachineProfile a = sample_profile();
+  MachineProfile b = a;
+  b.tables.chunk_bytes = 32 << 10;
+  ASSERT_TRUE(install_profile(a));
+  const perf::TunedTables* first = perf::tuned_tables();
+  ASSERT_TRUE(install_profile(b));
+  const perf::TunedTables* second = perf::tuned_tables();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->chunk_bytes, 32 << 10);
+  ASSERT_TRUE(install_profile(a));
+  EXPECT_EQ(perf::tuned_tables(), first);
+  EXPECT_EQ(first->chunk_bytes, 128 << 10);
 }
 
 TEST_F(ProfileTest, InstallSkipsFingerprintCheckWhenAsked) {
@@ -300,13 +305,15 @@ TEST_F(ProfileTest, InstallSkipsFingerprintCheckWhenAsked) {
 // ---- derive_selections: the deterministic-replay core ----
 
 TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
+  // The gemm/factor rate rows of older logs stay in as inputs: the tables
+  // come from the coll/chunk argmin alone.
   std::vector<RawMeasurement> log = {
       {"gemm.f.n96.micro", 9e9, "flop/s"},
       {"gemm.d.n96.micro", 7e9, "flop/s"},
       {"gemm.d.n700.naive", 1e9, "flop/s"},
       {"gemm.d.n700.micro", 8e9, "flop/s"},
       {"gemm.f.n700.micro", 1.2e10, "flop/s"},
-      {"gemm.z.n900.micro", 2e10, "flop/s"},  // complex rows feed no rate
+      {"gemm.z.n900.micro", 2e10, "flop/s"},
       {"factor.n96.naive", 2e9, "flop/s"},
       {"factor.n640.naive", 1e9, "flop/s"},
       {"factor.n640.blocked", 3e9, "flop/s"},
@@ -317,10 +324,6 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
       {"chunk.allreduce.b4194304.c262144", 2e-3, "s"},
   };
   const perf::TunedTables t = derive_selections(log);
-  // Rates: the best row at the largest measured size.
-  EXPECT_EQ(t.gemm_flops, 8e9);
-  EXPECT_EQ(t.single_speedup, 1.2e10 / 8e9);
-  EXPECT_EQ(t.factor_flops, 3e9);
   EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
                        [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
@@ -329,18 +332,16 @@ TEST(DeriveSelections, PicksArgmaxRatesAndArgminSeconds) {
   EXPECT_EQ(t.coll_algo[int(perf::CollKind::kAllReduce)]
                        [int(perf::MsgClass::kMediumMsg)],
             -1);
-}
-
-TEST(DeriveSelections, ReplayIgnoresRetiredBlockedGemmRows) {
-  // An old measurement log where `blocked` GEMM rows are the fastest and
-  // the largest: replay skips them for the model rate.
-  std::vector<RawMeasurement> log = {
-      {"gemm.d.n96.naive", 1e9, "flop/s"},
-      {"gemm.d.n96.blocked", 9e9, "flop/s"},
-      {"gemm.d.n96.micro", 4e9, "flop/s"},
-      {"gemm.d.n700.blocked", 9e9, "flop/s"},
-  };
-  EXPECT_EQ(derive_selections(log).gemm_flops, 4e9);
+  // The gemm.* / factor.* rate rows of older profiles derive nothing:
+  // dropping them leaves the tables unchanged.
+  std::vector<RawMeasurement> coll_only;
+  for (const RawMeasurement& m : log) {
+    if (m.name.rfind("gemm.", 0) != 0 && m.name.rfind("factor.", 0) != 0) {
+      coll_only.push_back(m);
+    }
+  }
+  ASSERT_EQ(coll_only.size(), 5u);
+  EXPECT_TRUE(derive_selections(coll_only) == t);
 }
 
 TEST(DeriveSelections, FirstMeasuredWinsTies) {
@@ -386,7 +387,9 @@ TEST(DeriveSelections, ReplayIsDeterministic) {
                        [int(perf::MsgClass::kLargeMsg)],
             int(coll::Algorithm::kTree));
   EXPECT_EQ(a.chunk_bytes, 16 << 10);
-  EXPECT_EQ(a.factor_flops, 5e9);
+  // The gemm/factor rate rows in the log change nothing.
+  EXPECT_TRUE(a == derive_selections(std::vector<RawMeasurement>(
+                       log.begin() + 3, log.end())));
 }
 
 }  // namespace

@@ -142,7 +142,6 @@ TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
   // Stored tables say tree everywhere; the measurement log says the ring
   // wins small allreduces. Replay must trust the log, not the tables.
   MachineProfile p = contrarian_profile();
-  p.tables.gemm_flops = 9e9;
   p.measurements.push_back({"coll.allreduce.b16384.p4.tree", 2e-5, "s"});
   p.measurements.push_back({"coll.allreduce.b16384.p4.ring", 1e-5, "s"});
   p.measurements.push_back({"gemm.d.n768.micro", 4e9, "flop/s"});
@@ -156,7 +155,9 @@ TEST_F(RuntimeTest, ReplayDerivesTablesFromMeasurementLog) {
   EXPECT_EQ(t->coll_algo[int(perf::CollKind::kAllReduce)]
                         [int(perf::MsgClass::kSmallMsg)],
             int(coll::Algorithm::kRing));
-  EXPECT_EQ(t->gemm_flops, 4e9);
+  // The trailing gemm rate row derives nothing.
+  EXPECT_TRUE(*t == derive_selections(std::vector<RawMeasurement>(
+                        p.measurements.begin(), p.measurements.end() - 1)));
   // Classes the log never measured are unset under replay, even though the
   // stored tables had entries — selections are a pure function of the log.
   EXPECT_EQ(t->coll_algo[int(perf::CollKind::kBroadcast)]

@@ -4,9 +4,9 @@
 // everything here routes one call to either the naive reference or a chunk
 // channel algorithm, wrapped in the same perf accounting and fault-injection
 // hooks either way. Every call selects its algorithm afresh (coll::select)
-// and runs it to completion before returning; the perf::CollAlgo ->
-// algorithm-class mapping of each collective kind is written once, in the
-// entry point of that kind below.
+// and runs it to completion before returning; the perf::CollAlgo -> routine
+// mapping of each collective kind is written once, in the entry point of
+// that kind below.
 #pragma once
 
 #ifndef CHASE_COMM_COMMUNICATOR_INCLUDED
@@ -69,18 +69,13 @@ void Communicator::all_reduce(T* data, Index count, Reduction op) const {
     const Index ce = detail::coll_chunk_elems(sizeof(T));
     switch (algo) {
       case perf::CollAlgo::kHierAlgo:
-        coll::HierAllReduce<Communicator, T>(*this, data, count, op, ce, seq)
-            .wait();
+        coll::hier_all_reduce(*this, data, count, op, ce, seq);
         break;
       case perf::CollAlgo::kRingAlgo:
-        coll::OrderedRingAllReduce<Communicator, T>(*this, data, count, op, ce,
-                                                    seq)
-            .wait();
+        coll::ordered_ring_all_reduce(*this, data, count, op, ce, seq);
         break;
       default:  // kRabenseifner
-        coll::RabenseifnerAllReduce<Communicator, T>(*this, data, count, op,
-                                                     ce, seq)
-            .wait();
+        coll::rabenseifner_all_reduce(*this, data, count, op, ce, seq);
         break;
     }
   }
@@ -105,12 +100,9 @@ void Communicator::broadcast(T* data, Index count, int root) const {
   if (count > 0) {
     const Index ce = detail::coll_chunk_elems(sizeof(T));
     if (algo == perf::CollAlgo::kHierAlgo) {
-      coll::HierBroadcast<Communicator, T>(*this, data, count, root, ce, seq)
-          .wait();
+      coll::hier_broadcast(*this, data, count, root, ce, seq);
     } else {  // kBinomial
-      coll::BinomialBroadcast<Communicator, T>(*this, data, count, root, ce,
-                                               seq)
-          .wait();
+      coll::binomial_broadcast(*this, data, count, root, ce, seq);
     }
   }
   detail::account_routine(*this, perf::CollKind::kBroadcast, algo, bytes);
@@ -145,14 +137,11 @@ void Communicator::all_gather(const T* send, Index count, T* recv) const {
     const std::uint64_t seq = next_collective_seq();
     if (count > 0) {
       if (algo == perf::CollAlgo::kBruck) {
-        coll::BruckAllGather<Communicator, T>(*this, send, recv, count, ce,
-                                              seq)
-            .wait();
+        coll::bruck_all_gather(*this, send, recv, count, ce, seq);
       } else {  // kRingAlgo
-        coll::RingAllGather<Communicator, T>(
-            *this, send, recv, std::vector<Index>(std::size_t(size()), count),
-            detail::uniform_displs(size(), count), ce, seq)
-            .wait();
+        coll::ring_all_gather(*this, send, recv,
+                              std::vector<Index>(std::size_t(size()), count),
+                              detail::uniform_displs(size(), count), ce, seq);
       }
     }
   }
@@ -195,9 +184,8 @@ void Communicator::all_gather_v(const T* send, Index count, T* recv,
   }
   account_begin();
   // Bruck needs uniform blocks; the variable-count case rides the ring.
-  coll::RingAllGather<Communicator, T>(*this, send, recv, counts, displs, ce,
-                                       next_collective_seq())
-      .wait();
+  coll::ring_all_gather(*this, send, recv, counts, displs, ce,
+                        next_collective_seq());
   account_end(perf::CollKind::kAllGather, total_bytes, local_bytes);
 }
 

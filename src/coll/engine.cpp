@@ -1,7 +1,6 @@
 #include "coll/engine.hpp"
 
 #include <algorithm>
-#include <initializer_list>
 #include <limits>
 #include <string>
 
@@ -29,28 +28,23 @@ namespace {
 
 using perf::CollAlgo;
 
-CollAlgo cheapest(perf::CollKind kind, std::size_t bytes, int nranks,
-                  perf::Backend backend, const perf::TopoInfo& topo,
-                  std::initializer_list<CollAlgo> candidates) {
-  const perf::MachineModel model{};  // the built-in rates
-  const std::size_t chunk = chunk_bytes();
-  CollAlgo best = CollAlgo::kNaiveAlgo;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (CollAlgo a : candidates) {
-    const double cost = perf::coll_algo_seconds(model, backend, kind, a, bytes,
-                                                nranks, chunk, topo);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = a;
-    }
-  }
-  return best;
-}
-
 /// The flat chunk-channel algorithm of the ring family for `kind`.
 CollAlgo ring_family(perf::CollKind kind) {
   return kind == perf::CollKind::kBroadcast ? CollAlgo::kBinomial
                                             : CollAlgo::kRingAlgo;
+}
+
+/// The flat chunk-channel algorithm of the tree family for `kind`.
+CollAlgo tree_family(perf::CollKind kind) {
+  switch (kind) {
+    case perf::CollKind::kAllReduce:
+      return CollAlgo::kRabenseifner;
+    case perf::CollKind::kAllGather:
+      return CollAlgo::kBruck;
+    case perf::CollKind::kBroadcast:
+    default:
+      return CollAlgo::kBinomial;
+  }
 }
 
 }  // namespace
@@ -100,11 +94,6 @@ std::size_t chunk_bytes() {
 }
 
 CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
-                perf::Backend backend) {
-  return select(kind, bytes, nranks, backend, perf::TopoInfo{});
-}
-
-CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                 perf::Backend backend, const perf::TopoInfo& topo) {
   if (nranks <= 1) return CollAlgo::kNaiveAlgo;
   const bool grouped = topo.grouped();
@@ -114,47 +103,32 @@ CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
     case Algorithm::kRing:
       return ring_family(kind);
     case Algorithm::kTree:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return CollAlgo::kRabenseifner;
-        case perf::CollKind::kAllGather:
-          return CollAlgo::kBruck;
-        case perf::CollKind::kBroadcast:
-        default:
-          return CollAlgo::kBinomial;
-      }
+      return tree_family(kind);
     case Algorithm::kHier:
       // Explicit two-level policy; degrades to the flat ring family when the
       // communicator spans a single group (or a non-contiguous one).
       return grouped ? CollAlgo::kHierAlgo : ring_family(kind);
     case Algorithm::kAuto:
-    default:
-      switch (kind) {
-        case perf::CollKind::kAllReduce:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
-                                 CollAlgo::kRabenseifner, CollAlgo::kHierAlgo})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
-                                 CollAlgo::kRabenseifner});
-        case perf::CollKind::kAllGather:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
-                                 CollAlgo::kBruck, CollAlgo::kHierAlgo})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kRingAlgo,
-                                 CollAlgo::kBruck});
-        case perf::CollKind::kBroadcast:
-        default:
-          return grouped
-                     ? cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kBinomial,
-                                 CollAlgo::kHierAlgo})
-                     : cheapest(kind, bytes, nranks, backend, topo,
-                                {CollAlgo::kNaiveAlgo, CollAlgo::kBinomial});
+    default: {
+      // The cheapest candidate under the built-in rates; the first listed
+      // wins a tie (a broadcast lists binomial twice, which changes nothing).
+      const CollAlgo candidates[] = {CollAlgo::kNaiveAlgo, ring_family(kind),
+                                     tree_family(kind), CollAlgo::kHierAlgo};
+      const perf::MachineModel model{};
+      const std::size_t chunk = chunk_bytes();
+      CollAlgo best = CollAlgo::kNaiveAlgo;
+      double best_cost = std::numeric_limits<double>::infinity();
+      for (const CollAlgo a : candidates) {
+        if (a == CollAlgo::kHierAlgo && !grouped) continue;
+        const double cost = perf::coll_algo_seconds(model, backend, kind, a,
+                                                    bytes, nranks, chunk, topo);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = a;
+        }
       }
+      return best;
+    }
   }
 }
 

@@ -13,9 +13,9 @@
 // `auto` picks per call by minimizing the extended alpha-beta-gamma cost
 // model (perf::coll_algo_seconds) over the available routines — the
 // in-process analogue of NCCL's protocol/algorithm autotuner. With a
-// grouped topology (CHASE_TOPO, src/comm/topology.hpp) the selection runs
-// the per-link-class overload, so `auto` chooses the two-level hierarchical
-// routines exactly when the slow cross-group links make them win.
+// grouped topology (CHASE_TOPO, src/comm/topology.hpp) the per-link-class
+// prices let `auto` choose the two-level hierarchical routines exactly when
+// the slow cross-group links make them win.
 #pragma once
 
 #include <cstddef>
@@ -57,14 +57,10 @@ std::size_t chunk_bytes();
 /// collective kind the caller already knows, it names the routine the
 /// dispatcher runs (coll/dispatch.hpp). `bytes` follows the Tracker
 /// convention (per-rank payload for reduce/broadcast, total gathered buffer
-/// for allgather).
-perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
-                      perf::Backend backend);
-
-/// Topology-aware variant: considers the hierarchical routines and prices
-/// every candidate with the per-link-class cost model. With a flat `topo`
-/// this is exactly the overload above. All inputs are rank-identical across
-/// a communicator, so every rank of an SPMD region picks the same routine.
+/// for allgather). The hierarchical routines are candidates exactly when
+/// `topo` is grouped, and every candidate is priced with the per-link-class
+/// cost model. All inputs are rank-identical across a communicator, so every
+/// rank of an SPMD region picks the same routine.
 perf::CollAlgo select(perf::CollKind kind, std::size_t bytes, int nranks,
                       perf::Backend backend, const perf::TopoInfo& topo);
 

@@ -241,21 +241,49 @@ void Communicator::send_chunk(int dst, std::uint64_t tag, const void* data,
   box.cv.notify_all();
 }
 
-bool Communicator::try_recv_chunk(int src, std::uint64_t tag, void* data,
-                                  std::size_t bytes) const {
+void Communicator::recv_chunk(int src, std::uint64_t tag, void* data,
+                              std::size_t bytes) const {
   CHASE_CHECK_MSG(state_ != nullptr && src >= 0 && src < size() && src != rank_,
-                  "try_recv_chunk: bad source");
-  auto& box = *state_->mailboxes[std::size_t(rank_)];
+                  "recv_chunk: bad source");
+  auto& st = *state_;
+  auto& box = *st.mailboxes[std::size_t(rank_)];
+  auto& queue = box.from[std::size_t(src)];
+  const auto timeout = watchdog_policy.get();
   detail::Chunk got;
   {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    auto& q = box.from[std::size_t(src)];
-    const auto it = std::find_if(q.begin(), q.end(), [tag](const auto& c) {
-      return c.tag == tag;
-    });
-    if (it == q.end()) return false;
-    got = std::move(*it);
-    q.erase(it);
+    std::unique_lock<std::mutex> lock(box.mutex);
+    std::uint64_t seen = box.arrivals;
+    auto deadline = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      const auto it = std::find_if(queue.begin(), queue.end(),
+                                   [tag](const auto& c) {
+                                     return c.tag == tag;
+                                   });
+      if (it != queue.end()) {
+        got = std::move(*it);
+        queue.erase(it);
+        break;
+      }
+      if (st.errors->poisoned()) st.errors->raise();
+      const auto now = std::chrono::steady_clock::now();
+      if (box.arrivals != seen) {
+        // Some chunk landed since the last look: the team is still moving.
+        seen = box.arrivals;
+        deadline = now + timeout;
+      } else if (now >= deadline) {
+        std::ostringstream os;
+        os << "watchdog on rank " << rank_ << ": no chunk arrived within "
+           << timeout.count() << " ms while waiting for rank " << src
+           << " (tag " << tag
+           << ") (a peer of the collective likely died or stalled)";
+        lock.unlock();
+        st.errors->record(RankError{rank_, "p2p.watchdog", os.str()});
+        st.errors->raise();
+      }
+      // Poll-bounded wait, same rationale as barrier_wait: a poison
+      // notification between the check and the wait must not be lost forever.
+      box.cv.wait_for(lock, std::chrono::milliseconds(50));
+    }
   }
   if (got.bytes.size() != bytes) {
     std::ostringstream os;
@@ -265,51 +293,6 @@ bool Communicator::try_recv_chunk(int src, std::uint64_t tag, void* data,
   }
   std::copy(got.bytes.begin(), got.bytes.end(),
             static_cast<unsigned char*>(data));
-  return true;
-}
-
-void Communicator::recv_chunk(int src, std::uint64_t tag, void* data,
-                              std::size_t bytes) const {
-  std::uint64_t seen = inbox_arrivals();
-  while (!try_recv_chunk(src, tag, data, bytes)) {
-    seen = wait_new_arrival(seen, src, tag);
-  }
-}
-
-std::uint64_t Communicator::inbox_arrivals() const {
-  auto& box = *state_->mailboxes[std::size_t(rank_)];
-  std::lock_guard<std::mutex> lock(box.mutex);
-  return box.arrivals;
-}
-
-std::uint64_t Communicator::wait_new_arrival(std::uint64_t seen, int src,
-                                             std::uint64_t tag) const {
-  auto& st = *state_;
-  auto& box = *st.mailboxes[std::size_t(rank_)];
-  const auto deadline =
-      std::chrono::steady_clock::now() + watchdog_policy.get();
-  std::unique_lock<std::mutex> lock(box.mutex);
-  while (box.arrivals == seen) {
-    if (st.errors->poisoned()) st.errors->raise();
-    // Poll-bounded wait, same rationale as barrier_wait: a poison
-    // notification between the check and the wait must not be lost forever.
-    box.cv.wait_for(lock, std::chrono::milliseconds(50));
-    if (box.arrivals != seen) break;
-    if (st.errors->poisoned()) st.errors->raise();
-    if (std::chrono::steady_clock::now() >= deadline) {
-      std::ostringstream os;
-      os << "watchdog on rank " << rank_ << ": no chunk arrived within "
-         << watchdog_policy.get().count() << " ms";
-      if (src >= 0) {
-        os << " while waiting for rank " << src << " (tag " << tag << ")";
-      }
-      os << " (a peer of the collective likely died or stalled)";
-      lock.unlock();
-      st.errors->record(RankError{rank_, "p2p.watchdog", os.str()});
-      st.errors->raise();
-    }
-  }
-  return box.arrivals;
 }
 
 bool Communicator::agree(std::uint64_t value) const {

@@ -200,6 +200,9 @@ class Communicator {
   Communicator split(int color, int key) const;
 
   // ---- point-to-point chunk channels (the primitive under src/coll) ----
+  // Two calls: send_chunk never blocks, recv_chunk blocks until its chunk
+  // is in. The src/coll algorithms are plain loops over the pair and rely
+  // on the first property for deadlock freedom (comm/chunk_channel.hpp).
 
   /// Deliver `bytes` of `data` to rank `dst`'s inbox under `tag`. Never
   /// blocks (unbounded queues). Fault hooks: p2p.corrupt flips the leading
@@ -208,26 +211,14 @@ class Communicator {
   void send_chunk(int dst, std::uint64_t tag, const void* data,
                   std::size_t bytes) const;
 
-  /// Nonblocking receive: if a chunk from `src` tagged `tag` is in my inbox
-  /// (matched anywhere in the per-source FIFO, so pipelined chunks may
-  /// arrive out of order), copy it into `data` and return true. A matching
-  /// chunk whose size differs from `bytes` poisons the team.
-  bool try_recv_chunk(int src, std::uint64_t tag, void* data,
-                      std::size_t bytes) const;
-
-  /// Blocking receive with the poisoned-error/watchdog protocol: diagnoses a
-  /// sender that never delivers as "p2p.watchdog" after watchdog_policy.get().
+  /// Blocking receive of the chunk from `src` tagged `tag`, matched anywhere
+  /// in the per-source FIFO (pipelined chunks may arrive out of order), into
+  /// `data`. A matching chunk whose size differs from `bytes` poisons the
+  /// team ("p2p.mismatch"); a poisoned team raises TeamAborted; a wait during
+  /// which no chunk at all reaches my inbox for watchdog_policy.get() is
+  /// diagnosed as "p2p.watchdog", naming `src` and `tag`.
   void recv_chunk(int src, std::uint64_t tag, void* data,
                   std::size_t bytes) const;
-
-  /// Monotone count of chunks ever delivered to my inbox.
-  std::uint64_t inbox_arrivals() const;
-
-  /// Block until the arrival count differs from `seen` (poison-aware,
-  /// watchdog-diagnosed); returns the current count. `src`/`tag`, when
-  /// known, name the awaited sender in the watchdog diagnosis.
-  std::uint64_t wait_new_arrival(std::uint64_t seen, int src = -1,
-                                 std::uint64_t tag = 0) const;
 
   /// Control-plane agreement: true iff every rank passed the same value.
   /// Runs on the trusted naive publication-slot transport (no chunk

@@ -18,6 +18,7 @@
 
 #include "coll/engine.hpp"
 #include "comm/communicator.hpp"
+#include "comm/topology.hpp"
 #include "common/rng.hpp"
 #include "dist/dist_matrix.hpp"
 #include "perf/tracker.hpp"
@@ -380,6 +381,85 @@ TEST(CollIntegration, DistApplyFollowsTunedTableSwitch) {
       &trackers);
 }
 
+// Per-routine traffic accounting: every chunk a rank sends or receives is one
+// step, and its payload counts toward bytes. 1023 doubles in 48-byte (six
+// element) chunks make 171 chunks per full payload, cut unevenly by the
+// Rabenseifner segments and the Bruck rounds. The per-rank figures are the
+// ones the poll-driven routines recorded; the routines' traffic must not
+// change when their control flow does.
+TEST(CollAccounting, PerRoutineStepsAndBytes) {
+  enum class Op { kAllReduce, kAllGather, kBroadcast };
+  struct Case {
+    const char* topo;  // CHASE_TOPO spec of the 4-rank team
+    coll::Algorithm policy;
+    Op op;
+    const char* routine;
+    double steps[4];
+    double bytes[4];
+  };
+  const Case cases[] = {
+      {"flat", coll::Algorithm::kRing, Op::kAllReduce, "ring_allreduce",
+       {513, 684, 513, 342},
+       {24552, 32736, 24552, 16368}},
+      {"flat", coll::Algorithm::kTree, Op::kAllReduce,
+       "rabenseifner_allreduce",
+       {516, 516, 516, 516},
+       {24560, 24560, 24560, 24528}},
+      {"flat", coll::Algorithm::kRing, Op::kAllGather, "ring_allgather",
+       {1026, 1026, 1026, 1026},
+       {49104, 49104, 49104, 49104}},
+      {"flat", coll::Algorithm::kTree, Op::kAllGather, "bruck_allgather",
+       {1024, 1024, 1024, 1024},
+       {49104, 49104, 49104, 49104}},
+      {"flat", coll::Algorithm::kRing, Op::kBroadcast, "binomial_broadcast",
+       {342, 171, 342, 171},
+       {16368, 8184, 16368, 8184}},
+      {"2x2", coll::Algorithm::kHier, Op::kAllReduce, "hier_allreduce",
+       {342, 684, 513, 513},
+       {16368, 32736, 24552, 24552}},
+      {"2x2", coll::Algorithm::kHier, Op::kBroadcast, "hier_broadcast",
+       {342, 171, 171, 342},
+       {16368, 8184, 8184, 16368}},
+  };
+  const int p = 4;
+  const Index count = 1023;
+  ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 48);
+  for (const Case& c : cases) {
+    comm::ScopedTopology topo(comm::parse_topology("CHASE_TOPO", c.topo));
+    ScopedPolicy policy(coll::algorithm_policy, c.policy);
+    std::vector<perf::Tracker> trackers((std::size_t(p)));
+    Team team(p);
+    team.run(
+        [&](Communicator& comm) {
+          std::vector<double> x =
+              rank_payload<double>(comm.rank(), count, 19);
+          std::vector<double> recv(std::size_t(p) * std::size_t(count));
+          switch (c.op) {
+            case Op::kAllReduce:
+              comm.all_reduce(x.data(), count);
+              break;
+            case Op::kAllGather:
+              comm.all_gather(x.data(), count, recv.data());
+              break;
+            case Op::kBroadcast:
+              comm.broadcast(x.data(), count, /*root=*/0);
+              break;
+          }
+        },
+        &trackers);
+    const std::string prefix = std::string("coll.") + c.routine;
+    for (int r = 0; r < p; ++r) {
+      const perf::Tracker& t = trackers[std::size_t(r)];
+      EXPECT_EQ(t.counter(prefix + ".calls"), 1.0)
+          << c.routine << " rank " << r;
+      EXPECT_EQ(t.counter(prefix + ".steps"), c.steps[r])
+          << c.routine << " rank " << r;
+      EXPECT_EQ(t.counter(prefix + ".bytes"), c.bytes[r])
+          << c.routine << " rank " << r;
+    }
+  }
+}
+
 TEST(CollFault, P2pCorruptPropagatesNaN) {
   ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kRing);
   ScopedPolicy chunk_scope(coll::chunk_bytes_policy, std::size_t(64) << 10);
@@ -409,6 +489,10 @@ TEST(CollFault, P2pStallTripsWatchdog) {
     FAIL() << "a stalled sender must poison the team";
   } catch (const comm::TeamAborted& e) {
     EXPECT_EQ(e.error().site, "p2p.watchdog") << e.what();
+    // The diagnosis names the sender the blocked receive waited for.
+    EXPECT_NE(std::string(e.what()).find("while waiting for rank"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -429,37 +513,44 @@ TEST(CollFault, RankDieOnChannelPathAborts) {
 }
 
 // tsan target: several teams of threads hammer the chunk channels and split
-// communicators concurrently. Any missing
-// synchronization in Mailbox/CommState shows up here under
-// -fsanitize=thread (ctest -L coll on the tsan preset).
+// communicators concurrently. Any missing synchronization in Mailbox/CommState
+// shows up here under -fsanitize=thread (ctest -L coll on the tsan preset).
+// Across the ring, tree and auto policies every flat chunk-channel routine
+// runs: both allreduces, both allgathers and the binomial broadcast.
 TEST(CollStress, ConcurrentTeams) {
-  ScopedPolicy policy(coll::algorithm_policy, coll::Algorithm::kAuto);
   ScopedPolicy chunk_scope(coll::chunk_bytes_policy, 64);
-  const int nteams = 4;
-  std::vector<std::thread> drivers;
-  drivers.reserve(nteams);
-  for (int d = 0; d < nteams; ++d) {
-    drivers.emplace_back([d] {
-      const int p = 2 + d % 3;
-      Team team(p);
-      team.run([&](Communicator& comm) {
-        for (int iter = 0; iter < 20; ++iter) {
-          const Index count = 1 + 17 * ((iter + d) % 5);
-          std::vector<double> x(std::size_t(count),
-                                double(comm.rank() + iter));
-          comm.all_reduce(x.data(), count);
-          std::vector<double> s(x);
-          comm.all_reduce(s.data(), count);
-          std::vector<double> b((std::size_t(count)), double(iter));
-          comm.broadcast(b.data(), count, iter % comm.size());
-          Communicator half = comm.split(comm.rank() % 2, comm.rank());
-          double v = double(comm.rank());
-          half.all_reduce(&v, 1);
-        }
+  for (const coll::Algorithm algo :
+       {coll::Algorithm::kRing, coll::Algorithm::kTree,
+        coll::Algorithm::kAuto}) {
+    ScopedPolicy policy(coll::algorithm_policy, algo);
+    const int nteams = 4;
+    std::vector<std::thread> drivers;
+    drivers.reserve(nteams);
+    for (int d = 0; d < nteams; ++d) {
+      drivers.emplace_back([d] {
+        const int p = 2 + d % 3;
+        Team team(p);
+        team.run([&](Communicator& comm) {
+          for (int iter = 0; iter < 20; ++iter) {
+            const Index count = 1 + 17 * ((iter + d) % 5);
+            std::vector<double> x(std::size_t(count),
+                                  double(comm.rank() + iter));
+            comm.all_reduce(x.data(), count);
+            std::vector<double> s(x);
+            comm.all_reduce(s.data(), count);
+            std::vector<double> g(std::size_t(count) * std::size_t(p));
+            comm.all_gather(x.data(), count, g.data());
+            std::vector<double> b((std::size_t(count)), double(iter));
+            comm.broadcast(b.data(), count, iter % comm.size());
+            Communicator half = comm.split(comm.rank() % 2, comm.rank());
+            double v = double(comm.rank());
+            half.all_reduce(&v, 1);
+          }
+        });
       });
-    });
+    }
+    for (auto& t : drivers) t.join();
   }
-  for (auto& t : drivers) t.join();
 }
 
 }  // namespace

@@ -160,6 +160,43 @@ TEST(Collectives, BackToBackCollectivesDoNotInterfere) {
   });
 }
 
+TEST(ChunkChannel, SizeMismatchPoisonsTeam) {
+  Team team(2);
+  try {
+    team.run([](Communicator& comm) {
+      unsigned char buf[16] = {};
+      if (comm.rank() == 0) {
+        comm.send_chunk(1, /*tag=*/7, buf, 8);
+      } else {
+        comm.recv_chunk(0, /*tag=*/7, buf, 16);
+      }
+    });
+    FAIL() << "an 8-byte chunk received as 16 bytes must poison the team";
+  } catch (const TeamAborted& e) {
+    EXPECT_EQ(e.error().site, "p2p.mismatch") << e.what();
+    EXPECT_EQ(e.error().rank, 1);
+  }
+}
+
+TEST(ChunkChannel, ReceiveMatchesTagOutOfOrder) {
+  Team team(2);
+  team.run([](Communicator& comm) {
+    if (comm.rank() == 0) {
+      const double two = 2.0;
+      const double one = 1.0;
+      comm.send_chunk(1, /*tag=*/2, &two, sizeof two);
+      comm.send_chunk(1, /*tag=*/1, &one, sizeof one);
+    } else {
+      double first = 0.0;
+      double second = 0.0;
+      comm.recv_chunk(0, /*tag=*/1, &first, sizeof first);
+      comm.recv_chunk(0, /*tag=*/2, &second, sizeof second);
+      EXPECT_EQ(first, 1.0);
+      EXPECT_EQ(second, 2.0);
+    }
+  });
+}
+
 TEST(Split, PartitionsByColor) {
   const int p = 6;
   Team team(p);
